@@ -2,9 +2,10 @@
 
 Every expert policy turns the MDP into a Markov chain.  This module computes
 the quantities the selection index and the regret bounds are built from: the
-stationary distribution mu_e, the second largest eigenvalue modulus alpha_e,
-an empirically certified geometric-mixing constant C_e with K_e =
-C_e / (1 - alpha_e), the steady-state reward, and the reward gaps.
+stationary distribution mu_e, solved exactly as one linear system, the
+second largest eigenvalue modulus alpha_e, an empirically certified
+geometric-mixing constant C_e with K_e = C_e / (1 - alpha_e), the
+steady-state reward, and the reward gaps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "MixingProfile",
     "NotErgodicError",
     "NoConvergenceError",
-    "MixingConstantError",
     "induced_chain",
     "check_ergodicity",
     "stationary_distribution",
@@ -35,19 +35,12 @@ __all__ = [
     "with_gaps",
 ]
 
-POWER_ITERATION_CAP = 10 ** 6
-
-
 class NotErgodicError(Exception):
     """Chain is reducible or periodic; the steady-state machinery needs both."""
 
 
 class NoConvergenceError(Exception):
     """Iteration budget exhausted before reaching tolerance."""
-
-
-class MixingConstantError(Exception):
-    """Empirical mixing constant exceeded a configured cap."""
 
 
 @dataclass
@@ -125,25 +118,23 @@ def _require_ergodic(chain: InducedChain) -> None:
             f"aperiodic={flags['aperiodic']}")
 
 
-def stationary_distribution(chain: InducedChain, tol: float = 1e-10) -> np.ndarray:
-    """Power iteration from uniform until the L1 update falls below tol.
+def stationary_distribution(chain: InducedChain) -> np.ndarray:
+    """Exact stationary law: the solution of mu (I - P) = 0, sum(mu) = 1.
 
-    Returns a vector whose fixed-point residual ||mu P - mu||_1 is at most
-    tol (the L1 norm never grows under a stochastic kernel, so the last
-    update bounds the residual of the returned iterate).
+    On an irreducible chain the S balance equations have rank S - 1 and sum
+    to zero, so any one of them is redundant.  Replacing the last by the
+    normalisation row gives a nonsingular system: the balance rows span the
+    vectors orthogonal to mu, and the all-ones row is not one of them.  One
+    LU solve then returns mu to round-off.
     """
     _require_ergodic(chain)
     P = chain.kernel
     S = P.shape[0]
-    mu = np.full(S, 1.0 / S)
-    for _ in range(POWER_ITERATION_CAP):
-        nxt = mu @ P
-        if np.abs(nxt - mu).sum() <= tol:
-            return nxt / nxt.sum()
-        mu = nxt
-    raise NoConvergenceError(
-        f"stationary distribution did not reach tol={tol} within "
-        f"{POWER_ITERATION_CAP} iterations")
+    A = np.eye(S) - P.T
+    A[-1] = 1.0
+    b = np.zeros(S)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
 
 
 def slem(chain: InducedChain) -> float:
@@ -162,8 +153,7 @@ def default_horizon(alpha: float) -> int:
 
 
 def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
-                     horizon: int, c_cap: float | None = None
-                     ) -> tuple[float, float]:
+                     horizon: int) -> tuple[float, float]:
     """Certify C_e over the horizon and return (C_e, K_e).
 
     C_e is the empirical supremum of ||P^t(s,.) - mu||_1 / alpha^t over
@@ -172,10 +162,6 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
     2, so C_e >= 2 makes the t = 0 term of the averaged-reward bound hold
     as well.  The supremum carries one part in 1e9 of slack to absorb
     rounding when a caller re-derives the ratios.
-
-    c_cap, when given, is a configured ceiling on the empirical constant;
-    exceeding it raises MixingConstantError instead of silently certifying
-    a larger C_e.
     """
     _require_ergodic(chain)
     if alpha <= 1e-12:
@@ -195,19 +181,14 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
         M = M @ P
         d = float(np.abs(M - stationary).sum(axis=1).max())
         if d <= 1e-8:
-            # below this the distance is dominated by the residual of the
-            # computed stationary vector (update tol amplified by 1/(1-a)),
-            # so the ratio measures solver error, not mixing; the tail it
-            # skips contributes at most 1e-8 absolute, under every
-            # tolerance the bound curves use
+            # past this point d / alpha^t divides the round-off in M = P^t
+            # by a vanishing alpha^t, so the ratio measures arithmetic, not
+            # mixing; d never grows with t, so the tail it skips is under
+            # 1e-8 absolute, below every tolerance the bound curves use
             break
         ratio = d / alph[t]
         if ratio > sup:
             sup = ratio
-    if c_cap is not None and sup > c_cap:
-        raise MixingConstantError(
-            f"empirical mixing constant {sup:.6f} exceeds configured cap "
-            f"{c_cap}")
     C = max(sup * (1.0 + 1e-9), 2.0)
     return C, C / (1.0 - alpha)
 
@@ -259,16 +240,13 @@ def with_gaps(profiles: list[MixingProfile]) -> tuple[int, list[MixingProfile]]:
     return e_star, [replace(p, gap=float(d)) for p, d in zip(profiles, deltas)]
 
 
-def profile_expert(mdp, policy, tol: float = 1e-10,
-                   horizon: int | None = None,
-                   c_cap: float | None = None) -> MixingProfile:
-    """Full certified profile of one expert on one MDP (gap left at 0)."""
+def profile_expert(mdp, policy) -> MixingProfile:
+    """Full certified profile of one expert on one MDP (gap left at 0),
+    with the mixing scan run over default_horizon(alpha) steps."""
     chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain, tol)
+    mu = stationary_distribution(chain)
     alpha = slem(chain)
-    if horizon is None:
-        horizon = default_horizon(alpha)
-    C, K = mixing_constants(chain, mu, alpha, horizon, c_cap=c_cap)
+    C, K = mixing_constants(chain, mu, alpha, default_horizon(alpha))
     rbar = steady_state_reward(mdp, policy, mu)
     return MixingProfile(stationary=mu, slem=alpha, mix_const=C, k_const=K,
                          steady_reward=rbar)

@@ -7,8 +7,7 @@ Subcommands:
   bench    materialize the built-in benchmark and its canonical specs
 
 Exit codes: 0 success, 1 validation or parse error, 2 precondition
-violation (non-ergodic chain, gap too small, mixing cap exceeded),
-3 runtime failure.
+violation (non-ergodic chain, gap too small), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chains import MixingConstantError, NoConvergenceError, NotErgodicError, \
-    check_ergodicity, induced_chain, profile_expert, with_gaps
+from .chains import NoConvergenceError, NotErgodicError, check_ergodicity, \
+    induced_chain, profile_expert, with_gaps
 from .experiment import ExperimentSpec, load_spec, run_spec, save_spec, \
     sweep_spec
 from .gridworld import DEFAULT_T0_SWEEP, benchmark_config, build_experts, \
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotErgodicError, GapTooSmallError, MixingConstantError) as exc:
+    except (NotErgodicError, GapTooSmallError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:

@@ -32,9 +32,9 @@ from .bandit import HorizonSchedule, horizon, run_mab
 from .chains import MixingProfile, induced_chain, stationary_distribution, \
     steady_state_reward, with_gaps
 from .mdp import load_mdp, load_policy
-from .regret import GapTooSmallError, aggregate_runs, cumulative_regret, \
-    cumulative_reward_time, ucb_regret_bound, write_aggregate_csv, \
-    write_reward_time_csv
+from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
+    cumulative_regret, cumulative_reward_time, ucb_regret_bound, \
+    write_aggregate_csv, write_reward_time_csv
 
 __all__ = [
     "ExperimentSpec",
@@ -150,9 +150,10 @@ def resolve_environment(spec: ExperimentSpec):
 
 
 def nominal_profiles(mdp, experts, bound_k: float = 2.0):
-    """Runtime profiles: exact stationary laws and steady rewards, with the
-    uniform confidence constant standing in for C_e and K_e (alpha 0, so
-    the K = C/(1 - alpha) invariant holds).  Returns (best expert, list)."""
+    """Runtime profiles: stationary laws from the exact linear solve and
+    their steady rewards, with the uniform confidence constant standing in
+    for C_e and K_e (alpha 0, so the K = C/(1 - alpha) invariant holds).
+    Returns (best expert, list)."""
     profiles = []
     for policy in experts:
         chain = induced_chain(mdp, policy)
@@ -234,10 +235,8 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
             results[seed] = (vals, cum)
 
     # stack in spec order so the aggregate is identical however seeds ran
-    curves = np.stack([results[s][0] for s in spec.seeds])
-    mean = curves.mean(axis=0)
-    std = curves.std(axis=0, ddof=1) if len(spec.seeds) > 1 \
-        else np.zeros_like(mean)
+    mean, std = aggregate_runs([RegretCurve(results[s][0], r_star)
+                                for s in spec.seeds])
     if bound_status == "ok":
         bound = np.empty(spec.iterations + 1)
         bound[0] = 0.0

@@ -177,6 +177,24 @@ def reduce_observation_expert(obs_map: np.ndarray, observation: np.ndarray,
     return ExpertPolicy(policy=observation @ obs_map, expert_id=expert_id)
 
 
+def _cdf(probs: np.ndarray) -> list:
+    """Cumulative rows over the last axis, as nested lists for bisect_right.
+
+    bisect_right(row, u) is the first index whose cumulative mass exceeds u.
+    An index with zero mass repeats the entry before it, so it can only be
+    drawn past the last index with positive mass, when a float cumsum stops
+    short of 1 (ten 0.1s sum to 0.9999999999999999) and u lands in the gap;
+    Generator.random returns values up to the largest double below 1.  That
+    entry and every entry after it are therefore set to exactly 1.0.
+    """
+    probs = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(probs, axis=-1)
+    width = probs.shape[-1]
+    last = width - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(width) >= last[..., None]] = 1.0
+    return cdf.tolist()
+
+
 class _Tables:
     """Cumulative-row lookup tables for one MDP (built once, cached)."""
 
@@ -184,30 +202,19 @@ class _Tables:
                  "obs_cdf")
 
     def __init__(self, mdp: FiniteMdp):
-        P = mdp.transition
-        S, A, _ = P.shape
-        self.cdf = []
-        for s in range(S):
-            rows = []
-            for a in range(A):
-                row = np.cumsum(P[s, a]).tolist()
-                row[-1] = 1.0  # guard the u ~ 1 edge; see sampler note below
-                rows.append(row)
-            self.cdf.append(rows)
+        self.cdf = _cdf(mdp.transition)
         self.det_reward = mdp.reward_values.shape[-1] == 1
         if self.det_reward:
-            self.rmean = [[mdp.reward_values[s, a, :, 0].tolist()
-                           for a in range(A)] for s in range(S)]
+            self.rmean = mdp.reward_values[..., 0].tolist()
             self.rvals = self.rcdf = None
         else:
             self.rmean = None
-            self.rvals = mdp.reward_values
-            self.rcdf = np.cumsum(mdp.reward_probs, axis=-1)
+            self.rvals = mdp.reward_values.tolist()
+            self.rcdf = _cdf(mdp.reward_probs)
         self.identity_obs = (mdp.n_obs == mdp.n_states
                              and np.array_equal(mdp.observation,
                                                 np.eye(mdp.n_states)))
-        self.obs_cdf = None if self.identity_obs else \
-            np.cumsum(mdp.observation, axis=1)
+        self.obs_cdf = None if self.identity_obs else _cdf(mdp.observation)
 
 
 class _PolicyTables:
@@ -223,9 +230,7 @@ class _PolicyTables:
             self.cdf = None
         else:
             self.act = None
-            self.cdf = [np.cumsum(row).tolist() for row in pi]
-            for row in self.cdf:
-                row[-1] = 1.0
+            self.cdf = _cdf(pi)
 
 
 def _tables_for(mdp: FiniteMdp) -> _Tables:
@@ -238,17 +243,6 @@ def _policy_tables_for(policy: ExpertPolicy) -> _PolicyTables:
     if policy._tables is None:
         policy._tables = _PolicyTables(policy)
     return policy._tables
-
-
-def _pick(row: list, u: float) -> int:
-    # bisect_right returns the first index whose cumulative value exceeds u,
-    # so zero-probability entries are never selected; the final entry is
-    # pinned to 1.0 when the table is built, which keeps u close to 1 from
-    # stepping past the end of the row
-    j = bisect_right(row, u)
-    if j >= len(row):
-        j = len(row) - 1
-    return j
 
 
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
@@ -286,7 +280,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         if record:
             for t in range(T):
                 a = act[s]
-                j = _pick(cdf[s][a], u[t])
+                j = bisect_right(cdf[s][a], u[t])
                 r = rmean[s][a][j]
                 total += r
                 actions.append(a)
@@ -296,7 +290,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         else:
             for t in range(T):
                 a = act[s]
-                j = _pick(cdf[s][a], u[t])
+                j = bisect_right(cdf[s][a], u[t])
                 total += rmean[s][a][j]
                 s = j
     else:
@@ -306,16 +300,15 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
             row = u[t]
             c = 0
             if stoch_pol:
-                a = _pick(pol_cdf[s], row[c])
+                a = bisect_right(pol_cdf[s], row[c])
                 c += 1
             else:
                 a = act[s]
-            j = _pick(cdf[s][a], float(row[c]))
+            j = bisect_right(cdf[s][a], float(row[c]))
             c += 1
             if stoch_rew:
-                vi = bisect_right(tabs.rcdf[s, a, j].tolist(), float(row[c]))
-                vi = min(vi, tabs.rvals.shape[-1] - 1)
-                r = float(tabs.rvals[s, a, j, vi])
+                vi = bisect_right(tabs.rcdf[s][a][j], float(row[c]))
+                r = tabs.rvals[s][a][j][vi]
             else:
                 r = tabs.rmean[s][a][j]
             total += r
@@ -338,7 +331,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         ou = rng.random(T)
         if record:
             obs_cdf = tabs.obs_cdf
-            ys = [_pick(obs_cdf[st].tolist(), float(ou[t]))
+            ys = [bisect_right(obs_cdf[st], float(ou[t]))
                   for t, st in enumerate(states[:-1])]
             traj = Trajectory(states=np.asarray(states),
                               actions=np.asarray(actions),
@@ -352,7 +345,7 @@ def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
     mu0 = mdp.initial_dist
     if mu0.max() == 1.0:
         return int(mu0.argmax())
-    return _pick(np.cumsum(mu0).tolist(), float(rng.random()))
+    return bisect_right(_cdf(mu0), float(rng.random()))
 
 
 # ---------------------------------------------------------------------------

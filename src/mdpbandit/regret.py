@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bandit import horizon
+from .chains import gaps
+
 __all__ = [
     "RegretCurve",
     "GapTooSmallError",
@@ -65,12 +68,6 @@ def cumulative_regret(log, r_star: float) -> RegretCurve:
                        r_star=float(r_star), log=log)
 
 
-def _best(profiles) -> tuple[int, np.ndarray, np.ndarray]:
-    rewards = np.array([p.steady_reward for p in profiles])
-    e_star = int(rewards.argmax())
-    return e_star, rewards, rewards[e_star] - rewards
-
-
 def decomposition_terms(log, profiles):
     """(term1, term2, term3) per prefix n; their sum equals r(n) exactly.
 
@@ -78,17 +75,15 @@ def decomposition_terms(log, profiles):
     suboptimal pulls against their own steady rewards, term3 the transient
     of the optimal pulls against R_bar*.
     """
-    e_star, rbar, deltas = _best(profiles)
+    e_star, deltas = gaps(profiles)
+    rbar = np.array([p.steady_reward for p in profiles], dtype=np.longdouble)
     chosen = log.experts
     rewards = np.asarray(log.avg_rewards, dtype=np.longdouble)
     is_opt = chosen == e_star
 
     inc1 = np.asarray(deltas, dtype=np.longdouble)[chosen]
-    inc2 = np.where(~is_opt,
-                    np.asarray(rbar, dtype=np.longdouble)[chosen] - rewards,
-                    np.longdouble(0))
-    inc3 = np.where(is_opt, np.longdouble(rbar[e_star]) - rewards,
-                    np.longdouble(0))
+    inc2 = np.where(~is_opt, rbar[chosen] - rewards, np.longdouble(0))
+    inc3 = np.where(is_opt, rbar[e_star] - rewards, np.longdouble(0))
     zero = np.zeros(1, dtype=np.longdouble)
     term1 = np.concatenate((zero, np.cumsum(inc1)))
     term2 = np.concatenate((zero, np.cumsum(inc2)))
@@ -99,14 +94,13 @@ def decomposition_terms(log, profiles):
 def decomposition_bound(expected_pulls, profiles, schedule, n: int) -> float:
     """Sum of E[T_e(n)] (Delta_e + K_e/T0) over suboptimal e, plus the
     best expert's transient K_* sum over 1/T_m."""
-    e_star, _, deltas = _best(profiles)
+    e_star, deltas = gaps(profiles)
     t0 = schedule.t0
     total = 0.0
     for e, p in enumerate(profiles):
         if e == e_star:
             continue
         total += float(expected_pulls[e]) * (deltas[e] + p.k_const / t0)
-    from .bandit import horizon
     total += profiles[e_star].k_const * math.fsum(
         1.0 / horizon(schedule, m) for m in range(n))
     return total
@@ -123,7 +117,7 @@ def ucb_regret_bound(profiles, schedule, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    e_star, _, deltas = _best(profiles)
+    e_star, deltas = gaps(profiles)
     t0 = schedule.t0
     c = schedule.slope
     total = 0.0
@@ -168,7 +162,6 @@ def harmonic_sum_check(schedule, n: int) -> tuple[float, float]:
     if schedule.slope <= 0:
         raise ValueError("bound form invalid for c = 0; "
                          "the constant schedule sums to n / T0 exactly")
-    from .bandit import horizon
     exact = math.fsum(1.0 / horizon(schedule, m) for m in range(n))
     return exact, _harmonic_bound(schedule.t0, schedule.slope, n)
 

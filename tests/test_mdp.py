@@ -390,3 +390,56 @@ def test_policy_json_round_trip(tmp_path):
     (tmp_path / "short.json").write_text(json.dumps({"policy": [[1.0]]}))
     with pytest.raises(ValueError, match="missing or malformed"):
         load_policy(tmp_path / "short.json")
+
+
+# ---------------------------------------------------------------------------
+# sampling at the top of the unit interval
+
+
+class TopOfUnitInterval:
+    """Generator stand-in whose every draw is the largest double below 1,
+    a value np.random.Generator.random can return."""
+
+    U = float(np.nextafter(1.0, 0.0))
+
+    def random(self, size=None):
+        return self.U if size is None else np.full(size, self.U)
+
+
+# ten 0.1s sum to 0.9999999999999999, which is U itself, so an unpinned
+# cumulative row has no entry above U before the zero-mass index 10
+SHORT_ROW = [0.1] * 10 + [0.0]
+
+
+def _draw_from(kernel):
+    """The index drawn at U from SHORT_ROW placed in the given kernel."""
+    n = len(SHORT_ROW)
+    rng = TopOfUnitInterval()
+    if kernel == "initial":
+        mdp = make_mdp(np.ones((n, 1, n)) / n, np.zeros((n, 1, n)),
+                       initial=SHORT_ROW)
+        return sample_initial_state(mdp, rng)
+    if kernel == "transition":
+        mdp = make_mdp(np.tile(SHORT_ROW, (n, 1, 1)), np.zeros((n, 1, n)))
+        _, s, _ = run_expert(mdp, det_policy([0] * n, 1), 0, 1, rng)
+        return s
+    if kernel == "policy":
+        mdp = make_mdp(np.ones((1, n, 1)), np.zeros((1, n, 1)))
+        policy = ExpertPolicy(policy=np.array([SHORT_ROW]))
+        return int(run_expert(mdp, policy, 0, 1, rng)[2].actions[0])
+    if kernel == "reward":
+        mdp = one_state_mdp([0.0])
+        mdp.reward_values = np.linspace(0.0, 1.0, n).reshape(1, 1, 1, n)
+        mdp.reward_probs = np.array(SHORT_ROW).reshape(1, 1, 1, n)
+        avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 1, rng)
+        return int(round(avg * (n - 1)))
+    mdp = make_mdp(np.ones((1, 1, 1)), np.zeros((1, 1, 1)),
+                   observation=[SHORT_ROW])
+    return int(run_expert(mdp, det_policy([0], 1), 0, 1, rng)[2]
+               .observations[0])
+
+
+@pytest.mark.parametrize("kernel", ["initial", "transition", "policy",
+                                    "reward", "observation"])
+def test_zero_mass_outcome_is_never_drawn(kernel):
+    assert _draw_from(kernel) == 9
