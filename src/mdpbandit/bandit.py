@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import run_expert, sample_initial_state
+from .mdp import run_expert, sample_initial_state, write_csv
 
 __all__ = [
     "HorizonSchedule",
@@ -27,6 +27,9 @@ __all__ = [
     "ucb_selector",
     "run_mab",
 ]
+
+# the run-log CSV header, shared by RunLog.to_csv and RunLog.from_csv
+RUNLOG_COLUMNS = ("n", "expert", "T_n", "start_state", "avg_reward", "t_n")
 
 
 @dataclass(frozen=True)
@@ -115,22 +118,23 @@ class RunLog:
         return len(self.experts)
 
     def to_csv(self, path) -> None:
-        lines = [f"# {key}={self.meta[key]}" for key in sorted(self.meta)]
-        lines.append("n,expert,T_n,start_state,avg_reward,t_n")
-        for n in range(len(self)):
-            lines.append(f"{n},{self.experts[n]},{self.horizons[n]},"
-                         f"{self.start_states[n]},"
-                         f"{float(self.avg_rewards[n])!r},"
-                         f"{self.t_start[n]}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, RUNLOG_COLUMNS,
+                  zip(range(len(self)), self.experts.tolist(),
+                      self.horizons.tolist(), self.start_states.tolist(),
+                      np.asarray(self.avg_rewards, dtype=float).tolist(),
+                      self.t_start.tolist()),
+                  [f"{key}={self.meta[key]}" for key in sorted(self.meta)])
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
+        """Read a to_csv file.  '# key=value' lines fill meta; the first
+        other line must be the RUNLOG_COLUMNS header, and every later line a
+        row of one number per column, or ValueError names the line."""
+        header = ",".join(RUNLOG_COLUMNS)
         meta = {}
-        rows = []
+        rows = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -138,18 +142,22 @@ class RunLog:
                     key, _, value = line[1:].strip().partition("=")
                     meta[key] = value
                     continue
-                if line.startswith("n,"):
+                if rows is None:
+                    if line != header:
+                        raise ValueError(f"{path}, line {lineno}: header "
+                                         f"{line!r}, expected {header!r}")
+                    rows = []
                     continue
-                rows.append(line.split(","))
+                try:
+                    _, e, h, s, r, t = line.split(",")
+                    rows.append((int(e), int(h), int(s), float(r), int(t)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no data rows")
-        cols = list(zip(*rows))
-        return cls(experts=np.array([int(x) for x in cols[1]]),
-                   horizons=np.array([int(x) for x in cols[2]]),
-                   start_states=np.array([int(x) for x in cols[3]]),
-                   avg_rewards=np.array([float(x) for x in cols[4]]),
-                   t_start=np.array([int(x) for x in cols[5]]),
-                   meta=meta)
+        experts, horizons, starts, rewards, t_start = map(np.array, zip(*rows))
+        return cls(experts=experts, horizons=horizons, start_states=starts,
+                   avg_rewards=rewards, t_start=t_start, meta=meta)
 
 
 def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .chains import NoConvergenceError, NotErgodicError, check_ergodicity, \
@@ -22,8 +23,8 @@ from .experiment import ExperimentSpec, load_spec, run_spec, save_spec, \
     sweep_spec
 from .gridworld import DEFAULT_T0_SWEEP, benchmark_config, build_experts, \
     build_gridworld, format_layout
-from .mdp import load_mdp, load_policy, save_mdp, save_policy, validate_mdp, \
-    validate_policy
+from .mdp import csv_text, load_mdp, load_policies, save_mdp, save_policy, \
+    validate_mdp, write_csv
 from .regret import GapTooSmallError
 
 __all__ = ["main"]
@@ -48,14 +49,7 @@ def _parse_int_list(text: str, flag: str) -> list:
 
 def cmd_analyze(args) -> int:
     mdp = load_mdp(args.mdp)
-    rows = []
-    policies = []
-    for path in args.expert:
-        policy = load_policy(path)
-        bad = validate_policy(policy, mdp)
-        if bad:
-            raise ValueError(f"{path}: invalid policy: " + "; ".join(bad))
-        policies.append(policy)
+    policies = load_policies(args.expert, mdp)
     for path, policy in zip(args.expert, policies):
         flags = check_ergodicity(induced_chain(mdp, policy))
         if not (flags["irreducible"] and flags["aperiodic"]):
@@ -65,35 +59,35 @@ def cmd_analyze(args) -> int:
                 f"aperiodic={flags['aperiodic']})")
     profiles = [profile_expert(mdp, policy) for policy in policies]
     _, profiles = with_gaps(profiles)
-    lines = ["expert,alpha,C,K,R_bar,Delta,irreducible,aperiodic"]
-    for policy, p in zip(policies, profiles):
-        lines.append(f"{policy.expert_id},{float(p.slem)!r},"
-                     f"{float(p.mix_const)!r},{float(p.k_const)!r},"
-                     f"{float(p.steady_reward)!r},{float(p.gap)!r},"
-                     f"true,true")
-    text = "\n".join(lines) + "\n"
+    header = ("expert", "alpha", "C", "K", "R_bar", "Delta", "irreducible",
+              "aperiodic")
+    rows = [(policy.expert_id, float(p.slem), float(p.mix_const),
+             float(p.k_const), float(p.steady_reward), float(p.gap),
+             "true", "true") for policy, p in zip(policies, profiles)]
     if args.out:
-        Path(args.out).write_text(text)
+        write_csv(args.out, header, rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(csv_text(header, rows))
     return 0
 
 
 def _spec_with_overrides(args) -> ExperimentSpec:
-    spec = load_spec(args.config)
+    """The --config spec with the command-line overrides applied through
+    dataclasses.replace, so ExperimentSpec validates the result again."""
+    changes = {}
     if args.seed is not None:
-        spec.seeds = [args.seed]
+        changes["seeds"] = [args.seed]
     if args.seeds is not None:
-        spec.seeds = _parse_int_list(args.seeds, "--seeds")
+        changes["seeds"] = _parse_int_list(args.seeds, "--seeds")
     if args.t0 is not None and not getattr(args, "t0_is_list", False):
-        spec.t0 = int(args.t0)
+        changes["t0"] = int(args.t0)
     if args.c is not None:
-        spec.c = args.c
+        changes["c"] = args.c
     if args.iterations is not None:
-        spec.iterations = args.iterations
+        changes["iterations"] = args.iterations
     if args.out is not None:
-        spec.out = args.out
-    return spec
+        changes["out"] = args.out
+    return replace(load_spec(args.config), **changes)
 
 
 def _print_summary(summary: dict) -> None:

@@ -20,7 +20,6 @@ precondition fails or when events change the dynamics mid-run.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -28,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import HorizonSchedule, horizon, run_mab
+from .bandit import HorizonSchedule, run_mab
 from .chains import MixingProfile, induced_chain, stationary_distribution, \
     steady_state_reward, with_gaps
-from .mdp import load_mdp, load_policy
+from .mdp import load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
     cumulative_regret, cumulative_reward_time, ucb_regret_bound, \
     write_aggregate_csv, write_reward_time_csv
@@ -66,6 +65,8 @@ class ExperimentSpec:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"duplicate seeds in {self.seeds}")
         if self.mdp and not self.experts:
             raise ValueError("an mdp file requires expert policy files")
         for ev in self.events:
@@ -134,7 +135,7 @@ def resolve_environment(spec: ExperimentSpec):
         load_layout, permute_actions
     if spec.mdp:
         mdp = load_mdp(spec.mdp)
-        experts = [load_policy(p) for p in spec.experts]
+        experts = load_policies(spec.experts, mdp)
     else:
         config = load_layout(spec.layout) if spec.layout else benchmark_config()
         mdp = build_gridworld(config)
@@ -165,20 +166,6 @@ def nominal_profiles(mdp, experts, bound_k: float = 2.0):
     return with_gaps(profiles)
 
 
-def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
-
-
-def _write_regret_csv(path, values) -> None:
-    lines = ["n,regret"]
-    for n, v in enumerate(values):
-        lines.append(f"{n},{float(v)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _seed_task(payload):
     (mdp, experts, profiles, schedule, iterations, events, seed,
      out_dir, r_star) = payload
@@ -187,13 +174,13 @@ def _seed_task(payload):
                   events)
     log.meta["seed"] = seed
     out = Path(out_dir)
-    _atomic_write(out / f"runlog_seed{seed}.csv", log.to_csv)
+    log.to_csv(out / f"runlog_seed{seed}.csv")
     curve = cumulative_regret(log, r_star)
     vals = np.asarray(curve.values, dtype=float)
-    _atomic_write(out / f"regret_seed{seed}.csv",
-                  lambda p: _write_regret_csv(p, vals))
+    write_csv(out / f"regret_seed{seed}.csv", ("n", "regret"),
+              enumerate(vals.tolist()))
     t, cum = cumulative_reward_time(log)
-    return seed, vals, cum
+    return vals, t, cum
 
 
 def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
@@ -224,37 +211,27 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
 
     payloads = [(mdp, experts, profiles, schedule, spec.iterations, events,
                  seed, str(out), r_star) for seed in spec.seeds]
-    results = {}
+    # results come back in spec order either way (pool.map keeps it), so
+    # the aggregate is identical however the seeds ran
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, vals, cum in pool.map(_seed_task, payloads):
-                results[seed] = (vals, cum)
+            results = list(pool.map(_seed_task, payloads))
     else:
-        for payload in payloads:
-            seed, vals, cum = _seed_task(payload)
-            results[seed] = (vals, cum)
+        results = [_seed_task(payload) for payload in payloads]
 
-    # stack in spec order so the aggregate is identical however seeds ran
-    mean, std = aggregate_runs([RegretCurve(results[s][0], r_star)
-                                for s in spec.seeds])
+    regrets, grids, cums = zip(*results)
+    mean, std = aggregate_runs([RegretCurve(v, r_star) for v in regrets])
+    # r(0) = 0 holds unconditionally; without the bound only n >= 1 is nan
+    bound = np.full(spec.iterations + 1, np.nan)
+    bound[0] = 0.0
     if bound_status == "ok":
-        bound = np.empty(spec.iterations + 1)
-        bound[0] = 0.0
-        for n in range(1, spec.iterations + 1):
-            bound[n] = ucb_regret_bound(profiles, schedule, n)
-    else:
-        # r(0) = 0 holds unconditionally; only the n >= 1 entries are undefined
-        bound = np.full(spec.iterations + 1, np.nan)
-        bound[0] = 0.0
-    _atomic_write(out / "aggregate.csv",
-                  lambda p: write_aggregate_csv(p, mean, std, bound))
+        bound[1:] = [ucb_regret_bound(profiles, schedule, n)
+                     for n in range(1, spec.iterations + 1)]
+    write_aggregate_csv(out / "aggregate.csv", mean, std, bound)
 
-    horizons = np.array([horizon(schedule, n)
-                         for n in range(spec.iterations)], dtype=np.int64)
-    t_grid = np.concatenate(([0], np.cumsum(horizons)))
-    cum_mean = np.stack([results[s][1] for s in spec.seeds]).mean(axis=0)
-    _atomic_write(out / "reward_time.csv",
-                  lambda p: write_reward_time_csv(p, t_grid, cum_mean))
+    # the time grid depends only on the schedule, so every seed shares it
+    write_reward_time_csv(out / "reward_time.csv", grids[0],
+                          np.stack(cums).mean(axis=0))
 
     return {
         "label": spec.label,
@@ -283,20 +260,12 @@ def sweep_spec(base: ExperimentSpec, t0_values, workers: int = 1) -> dict:
         summaries.append(run_spec(sub, workers=workers))
 
     base_out = Path(base.out)
-    lines = ["t0,n,mean_regret,std_regret,theory_bound"]
-    reward_lines = ["t0,t,mean_cumulative_reward"]
-    for v, summary in zip(t0_values, summaries):
-        sub_out = Path(summary["out"])
-        with open(sub_out / "aggregate.csv") as fh:
-            next(fh)
-            for line in fh:
-                lines.append(f"{v},{line.strip()}")
-        with open(sub_out / "reward_time.csv") as fh:
-            next(fh)
-            for line in fh:
-                reward_lines.append(f"{v},{line.strip()}")
-    _atomic_write(base_out / "combined.csv",
-                  lambda p: Path(p).write_text("\n".join(lines) + "\n"))
-    _atomic_write(base_out / "combined_reward_time.csv",
-                  lambda p: Path(p).write_text("\n".join(reward_lines) + "\n"))
+    for name, combined in (("aggregate.csv", "combined.csv"),
+                           ("reward_time.csv", "combined_reward_time.csv")):
+        rows = []
+        for v, summary in zip(t0_values, summaries):
+            text = (Path(summary["out"]) / name).read_text()
+            header, *lines = text.splitlines()
+            rows += [[v] + line.split(",") for line in lines]
+        write_csv(base_out / combined, ["t0"] + header.split(","), rows)
     return {"label": base.label, "out": str(base_out), "runs": summaries}

@@ -1,4 +1,5 @@
-"""Finite MDP representation, validation, and seeded expert rollouts.
+"""Finite MDP representation, validation, seeded expert rollouts, and the
+package's file formats (MDP and policy JSON, and the one CSV writer).
 
 The simulator is the inner loop of everything else in this package, so the
 sampling path is deliberately plain Python over precomputed cumulative rows:
@@ -15,11 +16,18 @@ RNG stream contract (what a seeded run consumes, in order):
 Deterministic policies (one-hot rows), deterministic rewards and identity
 observations consume exactly T uniforms per rollout.  The observation block
 comes last so the state and reward stream never depends on the kernel O.
+
+run_expert has two step loops: a fast one for a deterministic policy with
+deterministic rewards and record=False, and one general loop for every other
+case.  record=True on a deterministic policy and reward runs the general loop
+on a (T, 1) block, which is the same stream as the fast loop's (T,) block, so
+the record flag never shifts what a seeded run draws.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +47,9 @@ __all__ = [
     "load_mdp",
     "save_policy",
     "load_policy",
+    "load_policies",
+    "csv_text",
+    "write_csv",
 ]
 
 _ATOL = 1e-9  # stochasticity tolerance shared by all row checks
@@ -95,15 +106,19 @@ def deterministic_reward(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def validate_mdp(mdp: FiniteMdp) -> list[str]:
     """Return every stochasticity violation with indices; empty means valid."""
-    bad = []
+    bad = [f"non-finite entries in the {name}" for name, arr in (
+        ("transition", mdp.transition), ("reward values", mdp.reward_values),
+        ("reward probabilities", mdp.reward_probs),
+        ("observation kernel", mdp.observation),
+        ("initial distribution", mdp.initial_dist))
+        if not np.isfinite(arr).all()]
     P = mdp.transition
     if P.shape != (mdp.n_states, mdp.n_actions, mdp.n_states):
         bad.append(f"transition shape {P.shape} does not match "
                    f"({mdp.n_states}, {mdp.n_actions}, {mdp.n_states})")
         return bad  # index checks below assume consistent shapes
-    if (P < 0).any():
-        for s, a, t in zip(*np.where(P < 0)):
-            bad.append(f"negative transition entry P({s},{a},{t}) = {P[s, a, t]}")
+    for s, a, t in zip(*np.where(P < 0)):
+        bad.append(f"negative transition entry P({s},{a},{t}) = {P[s, a, t]}")
     sums = P.sum(axis=2)
     for s, a in zip(*np.where(np.abs(sums - 1.0) > _ATOL)):
         bad.append(f"transition row sum {sums[s, a]} at (s={s}, a={a}), expected 1")
@@ -121,9 +136,8 @@ def validate_mdp(mdp: FiniteMdp) -> list[str]:
     for s, a, t, v in zip(*np.where(off)):
         bad.append(f"reward support value {rv[s, a, t, v]} outside [0, 1] at "
                    f"(s={s}, a={a}, s'={t})")
-    if (rp < 0).any():
-        for s, a, t, v in zip(*np.where(rp < 0)):
-            bad.append(f"negative reward probability at (s={s}, a={a}, s'={t})")
+    for s, a, t, v in zip(*np.where(rp < 0)):
+        bad.append(f"negative reward probability at (s={s}, a={a}, s'={t})")
 
     O = mdp.observation
     if O.shape != (mdp.n_states, mdp.n_obs):
@@ -151,6 +165,8 @@ def validate_policy(policy: ExpertPolicy, mdp: FiniteMdp) -> list[str]:
     if pi.shape != (mdp.n_states, mdp.n_actions):
         return [f"policy shape {pi.shape} does not match "
                 f"({mdp.n_states}, {mdp.n_actions})"]
+    if not np.isfinite(pi).all():
+        bad.append("non-finite policy entries")
     if (pi < 0).any() or (pi > 1).any():
         bad.append("policy entries outside [0, 1]")
     rows = pi.sum(axis=1)
@@ -203,14 +219,10 @@ class _Tables:
 
     def __init__(self, mdp: FiniteMdp):
         self.cdf = _cdf(mdp.transition)
-        self.det_reward = mdp.reward_values.shape[-1] == 1
-        if self.det_reward:
-            self.rmean = mdp.reward_values[..., 0].tolist()
-            self.rvals = self.rcdf = None
-        else:
-            self.rmean = None
-            self.rvals = mdp.reward_values.tolist()
-            self.rcdf = _cdf(mdp.reward_probs)
+        det = self.det_reward = mdp.reward_values.shape[-1] == 1
+        self.rmean = mdp.reward_values[..., 0].tolist() if det else None
+        self.rvals = None if det else mdp.reward_values.tolist()
+        self.rcdf = None if det else _cdf(mdp.reward_probs)
         self.identity_obs = (mdp.n_obs == mdp.n_states
                              and np.array_equal(mdp.observation,
                                                 np.eye(mdp.n_states)))
@@ -225,24 +237,8 @@ class _PolicyTables:
         # one-hot detection is exact on purpose: a row with max 1.0 has no
         # other mass, so argmax is the whole distribution
         self.deterministic = bool((pi.max(axis=1) == 1.0).all())
-        if self.deterministic:
-            self.act = pi.argmax(axis=1).tolist()
-            self.cdf = None
-        else:
-            self.act = None
-            self.cdf = _cdf(pi)
-
-
-def _tables_for(mdp: FiniteMdp) -> _Tables:
-    if mdp._tables is None:
-        mdp._tables = _Tables(mdp)
-    return mdp._tables
-
-
-def _policy_tables_for(policy: ExpertPolicy) -> _PolicyTables:
-    if policy._tables is None:
-        policy._tables = _PolicyTables(policy)
-    return policy._tables
+        self.act = pi.argmax(axis=1).tolist() if self.deterministic else None
+        self.cdf = None if self.deterministic else _cdf(pi)
 
 
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
@@ -257,87 +253,53 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 <= s0 < mdp.n_states:
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
-    tabs = _tables_for(mdp)
-    ptabs = _policy_tables_for(policy)
+    if mdp._tables is None:
+        mdp._tables = _Tables(mdp)
+    if policy._tables is None:
+        policy._tables = _PolicyTables(policy)
+    tabs, ptabs = mdp._tables, policy._tables
 
     stoch_pol = not ptabs.deterministic
     stoch_rew = not tabs.det_reward
-    cols = 1 + stoch_pol + stoch_rew
-    if cols == 1:
-        u = rng.random(T).tolist()
-    else:
-        u = rng.random((T, cols))
-
-    cdf = tabs.cdf
-    s = s0
+    cdf, act, rmean = tabs.cdf, ptabs.act, tabs.rmean
     total = 0.0
-    if record:
-        states, actions, rewards = [s], [], []
-    if cols == 1 and tabs.det_reward:
+    s = s0
+    if not (record or stoch_pol or stoch_rew):
         # fast path: deterministic policy and rewards, one uniform a step
-        act = ptabs.act
-        rmean = tabs.rmean
-        if record:
-            for t in range(T):
-                a = act[s]
-                j = bisect_right(cdf[s][a], u[t])
-                r = rmean[s][a][j]
-                total += r
-                actions.append(a)
-                rewards.append(r)
-                states.append(j)
-                s = j
-        else:
-            for t in range(T):
-                a = act[s]
-                j = bisect_right(cdf[s][a], u[t])
-                total += rmean[s][a][j]
-                s = j
+        for x in rng.random(T).tolist():
+            a = act[s]
+            j = bisect_right(cdf[s][a], x)
+            total += rmean[s][a][j]
+            s = j
     else:
-        pol_cdf = ptabs.cdf
-        act = ptabs.act
-        for t in range(T):
-            row = u[t]
-            c = 0
-            if stoch_pol:
-                a = bisect_right(pol_cdf[s], row[c])
-                c += 1
-            else:
-                a = act[s]
-            j = bisect_right(cdf[s][a], float(row[c]))
-            c += 1
+        # one row of draws a step: (action if the policy is stochastic,
+        # transition, reward if the reward is stochastic); with neither, the
+        # (T, 1) block is the same stream as the fast path's (T,) block
+        pol_cdf, rvals, rcdf = ptabs.cdf, tabs.rvals, tabs.rcdf
+        states, actions, rewards = [s0], [], []
+        for row in rng.random((T, 1 + stoch_pol + stoch_rew)).tolist():
+            a = bisect_right(pol_cdf[s], row[0]) if stoch_pol else act[s]
+            j = bisect_right(cdf[s][a], row[stoch_pol])
             if stoch_rew:
-                vi = bisect_right(tabs.rcdf[s][a][j], float(row[c]))
-                r = tabs.rvals[s][a][j][vi]
+                r = rvals[s][a][j][bisect_right(rcdf[s][a][j], row[-1])]
             else:
-                r = tabs.rmean[s][a][j]
+                r = rmean[s][a][j]
             total += r
-            if record:
-                actions.append(a)
-                rewards.append(r)
-                states.append(j)
+            states.append(j)
+            actions.append(a)
+            rewards.append(r)
             s = j
 
-    traj = None
-    if tabs.identity_obs:
-        if record:
-            traj = Trajectory(states=np.asarray(states),
-                              actions=np.asarray(actions),
-                              rewards=np.asarray(rewards),
-                              observations=np.asarray(states[:-1]))
-    else:
-        # drawn after the step loop, and drawn whether or not we record,
-        # so the state stream is independent of both O and the record flag
-        ou = rng.random(T)
-        if record:
-            obs_cdf = tabs.obs_cdf
-            ys = [bisect_right(obs_cdf[st], float(ou[t]))
-                  for t, st in enumerate(states[:-1])]
-            traj = Trajectory(states=np.asarray(states),
-                              actions=np.asarray(actions),
-                              rewards=np.asarray(rewards),
-                              observations=np.asarray(ys))
-    return total / T, s, traj
+    # drawn after the step loop, and drawn whether or not we record, so the
+    # state stream is independent of both O and the record flag
+    ou = None if tabs.identity_obs else rng.random(T).tolist()
+    if not record:
+        return total / T, s, None
+    ys = states[:-1] if ou is None else [
+        bisect_right(tabs.obs_cdf[st], x) for st, x in zip(states, ou)]
+    return total / T, s, Trajectory(
+        states=np.asarray(states), actions=np.asarray(actions),
+        rewards=np.asarray(rewards), observations=np.asarray(ys))
 
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
@@ -349,7 +311,30 @@ def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# file format: JSON with keys
+# file formats.  Every CSV file the package writes goes through write_csv.
+
+def csv_text(header, rows, comments=()) -> str:
+    """'# ' comment lines, the header, then one line per row.
+
+    Values are written with str(); callers pass Python scalars (tolist()),
+    so a float is written as its shortest repr and reads back exactly.
+    """
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write csv_text to a sibling .tmp file, then replace path with it, so
+    a reader never sees a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(csv_text(header, rows, comments))
+    os.replace(tmp, path)
+
+
+# MDPs are JSON with keys
 #   states, actions, observations, transition, reward, observation_kernel,
 #   initial
 # reward is {"values": nested S x A x S x V, "probs": same shape}.  Floats
@@ -411,3 +396,16 @@ def load_policy(path) -> ExpertPolicy:
                             expert_id=int(doc["expert_id"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed field ({exc})") from exc
+
+
+def load_policies(paths, mdp: FiniteMdp) -> list:
+    """load_policy for each path; a policy validate_policy rejects against
+    mdp raises ValueError naming its file."""
+    policies = []
+    for path in paths:
+        policy = load_policy(path)
+        bad = validate_policy(policy, mdp)
+        if bad:
+            raise ValueError(f"{path}: invalid policy: " + "; ".join(bad))
+        policies.append(policy)
+    return policies

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bandit import horizon
 from .chains import gaps
+from .mdp import write_csv
 
 __all__ = [
     "RegretCurve",
@@ -219,17 +220,13 @@ def log_linear_fit(n, y) -> tuple[float, float, float]:
 def write_aggregate_csv(path, mean, std, bound) -> None:
     """Columns (n, mean_regret, std_regret, theory_bound); bound entries may
     be nan when the gap precondition fails or events invalidate it."""
-    lines = ["n,mean_regret,std_regret,theory_bound"]
-    for n in range(len(mean)):
-        lines.append(f"{n},{float(mean[n])!r},{float(std[n])!r},"
-                     f"{float(bound[n])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("n", "mean_regret", "std_regret", "theory_bound"),
+              zip(range(len(mean)), np.asarray(mean, dtype=float).tolist(),
+                  np.asarray(std, dtype=float).tolist(),
+                  np.asarray(bound, dtype=float).tolist()))
 
 
 def write_reward_time_csv(path, t, cum) -> None:
-    lines = ["t,mean_cumulative_reward"]
-    for i in range(len(t)):
-        lines.append(f"{int(t[i])},{float(cum[i])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("t", "mean_cumulative_reward"),
+              zip(np.asarray(t, dtype=np.int64).tolist(),
+                  np.asarray(cum, dtype=float).tolist()))

@@ -358,3 +358,40 @@ def test_runlog_from_csv_rejects_empty(tmp_path):
     p.write_text("# t0=4\nn,expert,T_n,start_state,avg_reward,t_n\n")
     with pytest.raises(ValueError, match="no data rows"):
         RunLog.from_csv(p)
+
+
+GOOD_RUNLOG = ("# t0=4\n"
+               "n,expert,T_n,start_state,avg_reward,t_n\n"
+               "0,0,4,0,0.25,0\n"
+               "1,1,4,2,0.5,4\n")
+
+
+def test_runlog_from_csv_reads_a_well_formed_file(tmp_path):
+    p = tmp_path / "log.csv"
+    p.write_text(GOOD_RUNLOG)
+    log = RunLog.from_csv(p)
+    np.testing.assert_array_equal(log.experts, [0, 1])
+    np.testing.assert_array_equal(log.avg_rewards, [0.25, 0.5])
+    assert log.meta == {"t0": "4"}
+
+
+@pytest.mark.parametrize("text, where, what", [
+    (GOOD_RUNLOG.replace("T_n", "T"), "line 2", "header"),
+    (GOOD_RUNLOG.replace("n,expert,T_n,start_state,avg_reward,t_n\n", ""),
+     "line 2", "header"),
+    (GOOD_RUNLOG + "n,expert,T_n,start_state,avg_reward,t_n\n", "line 5",
+     "invalid literal"),
+    (GOOD_RUNLOG.replace("1,1,4,2,0.5,4", "1,1,4,2,0.5,4,9"), "line 4",
+     "expected 6"),
+    (GOOD_RUNLOG.replace("0,0,4,0,0.25,0", "0,0,4,0,0.25"), "line 3",
+     "expected 6"),
+], ids=["other-header", "no-header", "second-header", "long-row",
+        "short-row"])
+def test_runlog_from_csv_rejects_malformed_files(tmp_path, text, where,
+                                                 what):
+    p = tmp_path / "log.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as info:
+        RunLog.from_csv(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}, {where}: ") and what in message

@@ -1,7 +1,5 @@
 """Induced chains, ergodicity checks, mixing certificates, steady rewards."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

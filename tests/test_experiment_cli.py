@@ -26,7 +26,7 @@ from mdpbandit.experiment import (
     sweep_spec,
 )
 from mdpbandit.gridworld import permute_actions
-from mdpbandit.mdp import ExpertPolicy, FiniteMdp, save_mdp, save_policy
+from mdpbandit.mdp import ExpertPolicy, save_mdp, save_policy
 from mdpbandit.regret import log_linear_fit
 
 from test_mdp import det_policy, make_mdp
@@ -312,6 +312,21 @@ def test_sweep_combined_files_are_long_format(tmp_path):
     assert len(rt) == 1 + 2 * 21
 
 
+def test_sweep_combined_rows_are_the_per_t0_rows_and_no_tmp_is_left(tmp_path):
+    base = tiny_spec(tmp_path, iterations=12, out=str(tmp_path / "sweep"))
+    sweep_spec(base, [6, 8])
+    out = tmp_path / "sweep"
+    for name, combined in (("aggregate.csv", "combined.csv"),
+                           ("reward_time.csv", "combined_reward_time.csv")):
+        expected = []
+        for v in (6, 8):
+            header, *rows = (out / f"t0_{v}" / name).read_text().splitlines()
+            expected += [f"{v},{row}" for row in rows]
+        assert (out / combined).read_text() \
+            == "\n".join([f"t0,{header}"] + expected) + "\n"
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_sweep_rejects_bad_t0_lists(tmp_path):
     base = tiny_spec(tmp_path)
     with pytest.raises(ValueError, match="empty"):
@@ -411,6 +426,17 @@ def test_cli_analyze_stdout_for_a_small_chain(tmp_path):
     assert cols[6] == "true" and cols[7] == "true"
 
 
+def test_cli_analyze_out_file_matches_stdout(tmp_path):
+    mdp, pol, _, _ = nan_files(tmp_path)
+    code, out, _ = run_cli(["analyze", str(mdp), str(pol)])
+    assert code == 0
+    target = tmp_path / "analyze.csv"
+    code, _, _ = run_cli(["analyze", str(mdp), str(pol), "--out",
+                          str(target)])
+    assert code == 0 and target.read_text() == out
+    assert not (tmp_path / "analyze.csv.tmp").exists()
+
+
 def test_cli_analyze_non_ergodic_exits_two(tmp_path):
     mdp_path, pol_path = identity_mdp_files(tmp_path)
     code, out, err = run_cli(["analyze", str(mdp_path), str(pol_path)])
@@ -459,6 +485,74 @@ def test_cli_usage_and_parse_errors_exit_one(tmp_path):
                             "--iterations", "soon"])
     assert code == 1
     assert "error:" in err
+
+
+def test_duplicate_seeds_in_a_spec_exit_one(tmp_path):
+    # a repeated seed would run twice, count twice in the aggregate and,
+    # under --workers 2, have two processes write the same .tmp file
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        tiny_spec(tmp_path, seeds=[0, 0])
+    doc = {"label": "dup", "t0": 4, "c": 0.1, "iterations": 5,
+           "seeds": [0, 0], "out": "dup", "layout": "strip.grid"}
+    strip_layout(tmp_path)
+    (tmp_path / "dup.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["run", "--config", str(tmp_path / "dup.json")])
+    assert code == 1 and "duplicate seeds" in err
+    assert not (tmp_path / "dup").exists()
+
+
+def test_duplicate_seed_overrides_exit_one(tmp_path):
+    # the overrides go back through ExperimentSpec's validation
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    for command in ("run", "sweep"):
+        out = tmp_path / f"{command}_override"
+        code, _, err = run_cli([command, "--config",
+                                str(tmp_path / "spec.json"), "--seeds", "1,1",
+                                "--out", str(out)])
+        assert code == 1 and "duplicate seeds" in err
+        assert not out.exists()
+
+
+def nan_files(tmp_path):
+    """The small two-state chain and its policy on disk, plus a copy of each
+    with a NaN entry: (mdp, policy, nan mdp, nan policy)."""
+    P = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])
+    mdp = make_mdp(P, np.zeros((2, 1, 2)))
+    save_mdp(mdp, tmp_path / "m.json")
+    save_policy(det_policy([0, 0], 1), tmp_path / "p.json")
+    mdp.transition[1, 0] = np.nan
+    save_mdp(mdp, tmp_path / "m_nan.json")
+    save_policy(ExpertPolicy(policy=np.full((2, 1), np.nan)),
+                tmp_path / "p_nan.json")
+    return [tmp_path / name for name in ("m.json", "p.json", "m_nan.json",
+                                         "p_nan.json")]
+
+
+@pytest.mark.parametrize("bad", ["mdp", "policy"])
+def test_cli_non_finite_inputs_exit_one(tmp_path, bad):
+    mdp, pol, mdp_nan, pol_nan = nan_files(tmp_path)
+    if bad == "mdp":
+        mdp, what = mdp_nan, "non-finite entries in the transition"
+    else:
+        pol, what = pol_nan, "non-finite policy entries"
+    code, _, err = run_cli(["analyze", str(mdp), str(pol)])
+    assert code == 1 and what in err
+    doc = {"label": "nan", "t0": 4, "c": 0.0, "iterations": 5, "seeds": [0],
+           "out": "o", "mdp": mdp.name, "experts": [pol.name]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["run", "--config", str(tmp_path / "spec.json")])
+    assert code == 1 and what in err
+
+
+def test_cli_run_checks_policies_against_the_mdp(tmp_path):
+    mdp, _, _, _ = nan_files(tmp_path)
+    save_policy(det_policy([0, 0, 0], 1), tmp_path / "p3.json")
+    doc = {"label": "shape", "t0": 4, "c": 0.0, "iterations": 5,
+           "seeds": [0], "out": "o", "mdp": mdp.name, "experts": ["p3.json"]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["run", "--config", str(tmp_path / "spec.json")])
+    assert code == 1
+    assert "p3.json: invalid policy: policy shape (3, 1)" in err
 
 
 def test_cli_run_seed_override_writes_one_log(tmp_path):

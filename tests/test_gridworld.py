@@ -15,7 +15,6 @@ from mdpbandit.gridworld import (
     GridworldConfig,
     LayoutError,
     benchmark_config,
-    build_experts,
     build_gridworld,
     canonical_experiments,
     format_layout,

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpbandit.mdp import (
     ExpertPolicy,
     FiniteMdp,
+    csv_text,
     deterministic_reward,
     load_mdp,
     load_policy,
@@ -19,6 +22,7 @@ from mdpbandit.mdp import (
     save_policy,
     validate_mdp,
     validate_policy,
+    write_csv,
 )
 
 
@@ -135,6 +139,27 @@ def test_validate_shape_mismatch_reported_first():
     )
     bad = validate_mdp(mdp)
     assert len(bad) == 1 and "transition shape" in bad[0]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("transition", "transition"), ("reward values", "reward_values"),
+    ("reward probabilities", "reward_probs"),
+    ("observation kernel", "observation"),
+    ("initial distribution", "initial_dist")])
+def test_validate_reports_non_finite_entries(name, field):
+    # every comparison with NaN is false, so the row-sum and sign checks
+    # alone pass a row of NaN
+    mdp = two_state_cycle()
+    getattr(mdp, field)[0] = np.nan
+    assert f"non-finite entries in the {name}" in validate_mdp(mdp)
+
+
+def test_validate_policy_rejects_non_finite_entries():
+    mdp = two_state_cycle()
+    assert "non-finite policy entries" in validate_policy(
+        ExpertPolicy(policy=np.full((2, 1), np.nan)), mdp)
+    assert "non-finite policy entries" in validate_policy(
+        ExpertPolicy(policy=np.array([[1.0], [np.inf]])), mdp)
 
 
 def test_validate_policy_rows():
@@ -257,6 +282,57 @@ def test_record_flag_does_not_shift_the_stream():
     assert traj1.observations.shape == (33,)
 
 
+@st.composite
+def rollout_cases(draw):
+    """(mdp, expert, s0, T, seed) on 2-6 states: a deterministic or
+    stochastic policy, rewards with V = 1 or 2 support points, identity or
+    blurred observations.  Kernel rows have exact zeros."""
+    S = draw(st.integers(2, 6))
+    A = draw(st.integers(2, 3))
+    V = draw(st.sampled_from([1, 2]))
+    stochastic_policy = draw(st.booleans())
+    blurred = draw(st.booleans())
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(*shape):
+        w = g.random(shape) * (g.random(shape) < 0.6)
+        w += w.sum(axis=-1, keepdims=True) == 0
+        return w / w.sum(axis=-1, keepdims=True)
+
+    mdp = FiniteMdp(
+        n_states=S, n_actions=A, n_obs=S,
+        transition=rows(S, A, S), reward_values=g.random((S, A, S, V)),
+        reward_probs=rows(S, A, S, V),
+        observation=rows(S, S) if blurred else np.eye(S),
+        initial_dist=np.full(S, 1.0 / S),
+    )
+    policy = rows(S, A) if stochastic_policy \
+        else np.eye(A)[g.integers(0, A, size=S)]
+    assert validate_mdp(mdp) == []
+    return (mdp, ExpertPolicy(policy=policy), draw(st.integers(0, S - 1)),
+            draw(st.integers(1, 50)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(rollout_cases())
+def test_record_flag_never_changes_the_rollout(case):
+    mdp, expert, s0, T, seed = case
+    rng_off = np.random.default_rng(seed)
+    rng_on = np.random.default_rng(seed)
+    avg_off, fin_off, none = run_expert(mdp, expert, s0, T, rng_off,
+                                        record=False)
+    avg_on, fin_on, traj = run_expert(mdp, expert, s0, T, rng_on,
+                                      record=True)
+    assert none is None
+    assert (avg_off, fin_off) == (avg_on, fin_on)
+    assert rng_off.random() == rng_on.random()
+    assert traj.states[0] == s0 and traj.states[-1] == fin_on
+    assert len(traj.states) == T + 1
+    assert len(traj.actions) == len(traj.rewards) \
+        == len(traj.observations) == T
+    assert abs(traj.rewards.mean() - avg_on) <= 1e-12
+
+
 def test_run_expert_transition_frequencies_match_row():
     # all rows identical, so every step samples the same distribution
     q = np.array([0.2, 0.5, 0.3])
@@ -371,6 +447,31 @@ def test_load_mdp_rejects_bad_files(tmp_path):
     save_mdp(mdp, invalid)
     with pytest.raises(ValueError, match="invalid MDP"):
         load_mdp(invalid)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_load_mdp_rejects_non_finite_json(tmp_path, token):
+    # json.loads reads NaN and Infinity as floats
+    path = tmp_path / "m.json"
+    save_mdp(two_state_cycle(), path)
+    doc = json.loads(path.read_text())
+    doc["transition"][0][0] = [0, 0]
+    path.write_text(json.dumps(doc).replace("[0, 0]", f"[{token}, 0]", 1))
+    with pytest.raises(ValueError, match="non-finite entries in the "
+                       "transition"):
+        load_mdp(path)
+
+
+def test_write_csv_formats_with_str_and_replaces_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old contents\n")
+    rows = [(0, 0.1), (1, 1e-05), (2, float("nan")), (3, "true")]
+    write_csv(path, ("n", "value"), rows, comments=["seed=7"])
+    assert path.read_text() == (
+        "# seed=7\nn,value\n0,0.1\n1,1e-05\n2,nan\n3,true\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert csv_text(("n", "value"), rows, ["seed=7"]) == path.read_text()
+    assert csv_text(("a",), []) == "a\n"
 
 
 def test_policy_json_round_trip(tmp_path):
