@@ -20,6 +20,8 @@ precondition fails or when events change the dynamics mid-run.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -61,18 +63,57 @@ class ExperimentSpec:
     bound_k: float = 2.0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        # a malformed value is bad input (exit 1); unchecked, it would
+        # surface later as a TypeError (exit 3) or, like a negative bound_k,
+        # run as is
+        _check(isinstance(self.label, str), "label must be a string",
+               self.label)
+        _check(isinstance(self.out, str), "out must be a string", self.out)
+        for name in ("mdp", "layout"):
+            value = getattr(self, name)
+            _check(value is None or isinstance(value, str),
+                   f"{name} must be a file name", value)
+        _check(self.experts is None or (
+            isinstance(self.experts, list)
+            and all(isinstance(p, str) for p in self.experts)),
+            "experts must be a list of file names", self.experts)
+        _check(_is_int(self.t0) and self.t0 >= 1, "t0 must be an integer >= 1",
+               self.t0)
+        _check(_is_int(self.iterations) and self.iterations >= 1,
+               "iterations must be an integer >= 1", self.iterations)
+        _check(isinstance(self.seeds, list) and len(self.seeds) > 0
+               and all(_is_int(seed) for seed in self.seeds),
+               "seeds must be a non-empty list of integers", self.seeds)
+        _check(_is_real(self.c) and math.isfinite(self.c) and self.c >= 0,
+               "c must be a finite number >= 0", self.c)
+        _check(_is_real(self.bound_k) and math.isfinite(self.bound_k)
+               and self.bound_k > 0, "bound_k must be a finite number > 0",
+               self.bound_k)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds in {self.seeds}")
         if self.mdp and not self.experts:
             raise ValueError("an mdp file requires expert policy files")
+        _check(isinstance(self.events, list), "events must be a list",
+               self.events)
         for ev in self.events:
-            if "iteration" not in ev or not ({"permutation", "mdp"} & ev.keys()):
-                raise ValueError(f"event {ev} needs an iteration and either "
-                                 f"a permutation or an mdp file")
+            _check(isinstance(ev, dict) and _is_int(ev.get("iteration"))
+                   and isinstance(ev.get("mdp", ""), str)
+                   and bool({"permutation", "mdp"} & ev.keys()),
+                   "an event needs an integer iteration and either a "
+                   "permutation or an mdp file name", ev)
+
+
+def _check(ok: bool, message: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{message}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _SPEC_KEYS = {"label", "t0", "c", "iterations", "seeds", "out", "events",
@@ -94,26 +135,24 @@ def load_spec(path) -> ExperimentSpec:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a spec is a JSON object, got {doc!r}")
     unknown = set(doc) - _SPEC_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown spec keys {sorted(unknown)}")
     missing = {"label", "t0", "c", "iterations", "seeds", "out"} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing spec keys {sorted(missing)}")
-    base = path.parent
-    doc["out"] = _resolve_path(base, doc["out"])
-    doc["mdp"] = _resolve_path(base, doc.get("mdp"))
-    doc["layout"] = _resolve_path(base, doc.get("layout"))
-    if doc.get("experts"):
-        doc["experts"] = [_resolve_path(base, p) for p in doc["experts"]]
-    events = []
-    for ev in doc.get("events", []):
-        ev = dict(ev)
-        if "mdp" in ev:
-            ev["mdp"] = _resolve_path(base, ev["mdp"])
-        events.append(ev)
-    doc["events"] = events
     spec = ExperimentSpec(**doc)
+    base = path.parent
+    spec = replace(
+        spec, out=_resolve_path(base, spec.out),
+        mdp=_resolve_path(base, spec.mdp),
+        layout=_resolve_path(base, spec.layout),
+        experts=[_resolve_path(base, p) for p in spec.experts]
+        if spec.experts else spec.experts,
+        events=[{**ev, "mdp": _resolve_path(base, ev["mdp"])}
+                if "mdp" in ev else dict(ev) for ev in spec.events])
     for ref in [spec.mdp, spec.layout] + (spec.experts or []) \
             + [ev["mdp"] for ev in spec.events if "mdp" in ev]:
         if ref is not None and not Path(ref).exists():

@@ -1,10 +1,14 @@
 """Induced chains, ergodicity checks, mixing certificates, steady rewards."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mdpbandit import chains
 from mdpbandit.chains import (
     InducedChain,
     NotErgodicError,
@@ -210,6 +214,118 @@ def test_mixing_constants_horizon_too_short():
     mu = stationary_distribution(TWO_STATE)
     with pytest.raises(ValueError, match="horizon"):
         mixing_constants(TWO_STATE, mu, 0.7, 20)
+
+
+def stepwise_mixing_constants(c, mu, alpha, horizon):
+    """The scan mixing_constants replaced, one product per step, kept as a
+    reference.  Returns (C, K, d) with d = [d_1, d_2, ...] up to, not
+    including, the first d_t <= 1e-8."""
+    M = np.eye(c.kernel.shape[0])
+    d = []
+    for _ in range(horizon):
+        M = M @ c.kernel
+        dist = float(np.abs(M - mu).sum(axis=1).max())
+        if dist <= 1e-8:
+            break
+        d.append(dist)
+    d = np.array(d)
+    sup = float((d / alpha ** np.arange(1, len(d) + 1)).max()) if len(d) else 0.0
+    C = max(sup * (1.0 + 1e-9), 2.0)
+    return C, C / (1.0 - alpha), d
+
+
+@contextmanager
+def block_steps(steps, S):
+    """Run mixing_constants with blocks of the given number of steps
+    (None keeps the module's own block size)."""
+    if steps is None:
+        yield
+        return
+    with mock.patch.object(chains, "_BLOCK_ELEMENTS", steps * S * S):
+        yield
+
+
+@st.composite
+def slow_rings(draw):
+    """Lazy rings on 2-6 states: stay with weight 1, step s -> s + 1 with a
+    weight near 1e-3, and a few cross entries below 1e-3.  They mix over
+    thousands of steps and d_t / alpha_e^t settles below its early peak, so
+    most of these scans skip blocks."""
+    S = draw(st.integers(2, 6))
+    weights = np.eye(S)
+    for s in range(S):
+        weights[s, (s + 1) % S] += draw(st.floats(5e-4, 2e-3))
+    weights += np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.just(0.0), st.floats(0.0, 1e-3)),
+        min_size=S * S, max_size=S * S))).reshape(S, S)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(ergodic_kernels(), slow_rings()),
+       st.one_of(st.none(), st.integers(1, 70)))
+def test_blocked_scan_matches_the_stepwise_scan(ker, steps):
+    c = chain(ker)
+    mu = stationary_distribution(c)
+    alpha = slem(c)
+    assume(alpha > 1e-12)
+    horizon = default_horizon(alpha)
+    C_ref, _, d = stepwise_mixing_constants(c, mu, alpha, horizon)
+    with block_steps(steps, ker.shape[0]):
+        C, K = mixing_constants(c, mu, alpha, horizon)
+    assert abs(C - C_ref) <= 1e-12 * C_ref
+    assert (C >= d / alpha ** np.arange(1, len(d) + 1)).all()
+    assert K == C / (1.0 - alpha)
+
+
+# (kernel, alpha, horizon, steps per block, the path the scan ends on)
+BLOCK_PATHS = {
+    # alpha 0.5 below the SLEM 0.7: d_t / alpha^t rises to the last step,
+    # t = 30, in the closing block of 6 steps after three of 8
+    "partial-last-block": ([[0.9, 0.1], [0.2, 0.8]], 0.5, 30, 8),
+    # the same rising ratio meets d_t <= 1e-8 at t = 53, inside the
+    # evaluated block (48, 56]; the supremum is the ratio at t = 52
+    "stop-in-evaluated-block": ([[0.9, 0.1], [0.2, 0.8]], 0.5, 260, 8),
+    # at its own SLEM this chain's ratio peaks early and settles lower, so
+    # later blocks are skipped and the floor is reached in a skipped one
+    "stop-in-skipped-block": ([[0.98, 0.0, 0.02], [0.02, 0.0, 0.98],
+                               [0.25, 0.75, 0.0]], None, 260, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_PATHS))
+def test_mixing_constants_block_paths(case):
+    rows, alpha, horizon, steps = BLOCK_PATHS[case]
+    c = chain(rows)
+    mu = stationary_distribution(c)
+    alpha = alpha or slem(c)
+    C_ref, _, d = stepwise_mixing_constants(c, mu, alpha, horizon)
+    ratios = d / alpha ** np.arange(1, len(d) + 1)
+    t_sup = int(ratios.argmax()) + 1
+    with block_steps(steps, len(rows)):
+        C, K = mixing_constants(c, mu, alpha, horizon)
+    assert C_ref > 2.0
+    # d_{t_sup} agrees with the stepwise scan's to round-off; near the
+    # 1e-8 floor that is a relative difference of up to 1e-8 in C
+    assert abs(C - C_ref) * alpha ** t_sup <= 1e-15
+    assert K == C / (1.0 - alpha)
+    if case == "partial-last-block":
+        assert horizon % steps != 0 and t_sup == horizon == len(d)
+    if case == "stop-in-evaluated-block":
+        assert len(d) == 52 and t_sup == 52
+    if case == "stop-in-skipped-block":
+        assert C == C_ref and len(d) < horizon and t_sup < steps
+
+
+def test_bench_certificates_equal_the_stepwise_scan(bench, certified):
+    # the first block reproduces the stepwise products exactly, and every
+    # bench supremum falls in it: analyze prints the same digits
+    _, profiles = certified
+    for expert, prof in zip(bench.experts, profiles):
+        c = induced_chain(bench.mdp, expert)
+        C, K, _ = stepwise_mixing_constants(
+            c, prof.stationary, prof.slem, default_horizon(prof.slem))
+        assert (prof.mix_const, prof.k_const) == (C, K)
 
 
 # ---------------------------------------------------------------------------

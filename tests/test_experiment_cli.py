@@ -501,6 +501,50 @@ def test_duplicate_seeds_in_a_spec_exit_one(tmp_path):
     assert not (tmp_path / "dup").exists()
 
 
+MALFORMED_FIELDS = {
+    "t0-float": ("t0", 4.5),
+    "t0-zero": ("t0", 0),
+    "t0-bool": ("t0", True),
+    "iterations-string": ("iterations", "10"),
+    "seeds-string-entry": ("seeds", ["a"]),
+    "seeds-nested": ("seeds", [[0]]),
+    "seeds-bool-entry": ("seeds", [False]),
+    "seeds-not-a-list": ("seeds", 3),
+    "c-string": ("c", "x"),
+    "c-negative": ("c", -0.1),
+    "c-infinite": ("c", float("inf")),
+    "bound_k-negative": ("bound_k", -1),
+    "bound_k-zero": ("bound_k", 0),
+    "bound_k-nan": ("bound_k", float("nan")),
+    "label-number": ("label", 7),
+    "out-number": ("out", 5),
+    "layout-number": ("layout", 3),
+    "event-iteration-float": ("events", [{"iteration": 2.5,
+                                          "permutation": [0, 1, 2, 3]}]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FIELDS))
+def test_malformed_spec_field_exits_one(tmp_path, case):
+    # unchecked, these end in a TypeError (exit 3) or, like a negative
+    # bound_k, in a run that prints "theory bound: ok"
+    key, value = MALFORMED_FIELDS[case]
+    doc = {"label": "bad", "t0": 4, "c": 0.1, "iterations": 5,
+           "seeds": [0], "out": "bad", "layout": "strip.grid", key: value}
+    strip_layout(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(["run", "--config", str(tmp_path / "bad.json")])
+    assert code == 1, err
+    assert err.startswith("error: ") and key.rstrip("s") in err
+    assert out == "" and not (tmp_path / "bad").exists()
+
+
+def test_spec_file_must_be_an_object(tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    code, _, err = run_cli(["run", "--config", str(tmp_path / "list.json")])
+    assert code == 1 and "JSON object" in err
+
+
 def test_duplicate_seed_overrides_exit_one(tmp_path):
     # the overrides go back through ExperimentSpec's validation
     save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
