@@ -31,6 +31,6 @@ from .mdp import ExpertPolicy, FiniteMdp, Trajectory, deterministic_reward, \
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
     cumulative_regret, cumulative_reward_time, decomposition_bound, \
     decomposition_terms, harmonic_sum_check, log_linear_fit, \
-    regret_from_rewards, ucb_regret_bound
+    regret_from_rewards, ucb_regret_bound, ucb_regret_bounds
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .chains import MixingProfile, induced_chain, stationary_distribution, \
     steady_state_reward, with_gaps
 from .mdp import load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
-    cumulative_regret, cumulative_reward_time, ucb_regret_bound, \
+    cumulative_regret, cumulative_reward_time, ucb_regret_bounds, \
     write_aggregate_csv, write_reward_time_csv
 
 __all__ = [
@@ -236,18 +236,6 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    bound_status = "ok"
-    if events:
-        bound_status = "events change the dynamics mid-run; bound not defined"
-    else:
-        try:
-            ucb_regret_bound(profiles, schedule, 1)
-        except GapTooSmallError as exc:
-            bound_status = f"gap precondition failed ({exc})"
-    if bound_status != "ok":
-        warnings.warn(f"{spec.label}: theory bound unavailable, "
-                      f"{bound_status}", stacklevel=2)
-
     payloads = [(mdp, experts, profiles, schedule, spec.iterations, events,
                  seed, str(out), r_star) for seed in spec.seeds]
     # results come back in spec order either way (pool.map keeps it), so
@@ -263,9 +251,18 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
     # r(0) = 0 holds unconditionally; without the bound only n >= 1 is nan
     bound = np.full(spec.iterations + 1, np.nan)
     bound[0] = 0.0
-    if bound_status == "ok":
-        bound[1:] = [ucb_regret_bound(profiles, schedule, n)
-                     for n in range(1, spec.iterations + 1)]
+    bound_status = "ok"
+    if events:
+        bound_status = "events change the dynamics mid-run; bound not defined"
+    else:
+        try:
+            bound[1:] = ucb_regret_bounds(profiles, schedule,
+                                          range(1, spec.iterations + 1))
+        except GapTooSmallError as exc:
+            bound_status = f"gap precondition failed ({exc})"
+    if bound_status != "ok":
+        warnings.warn(f"{spec.label}: theory bound unavailable, "
+                      f"{bound_status}", stacklevel=2)
     write_aggregate_csv(out / "aggregate.csv", mean, std, bound)
 
     # the time grid depends only on the schedule, so every seed shares it

@@ -29,6 +29,7 @@ __all__ = [
     "decomposition_terms",
     "decomposition_bound",
     "ucb_regret_bound",
+    "ucb_regret_bounds",
     "harmonic_sum_check",
     "aggregate_runs",
     "cumulative_reward_time",
@@ -116,12 +117,16 @@ def ucb_regret_bound(profiles, schedule, n: int) -> float:
     transient K_* sum_{m<n} 1/T_m is taken in closed form: K_* n / T0 for
     a constant schedule, the harmonic_sum_check bound for a growing one.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    return ucb_regret_bounds(profiles, schedule, [n])[0]
+
+
+def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
+    """ucb_regret_bound at each n of the sequence ns, with the gap check and
+    the per-expert constants worked out once."""
     e_star, deltas = gaps(profiles)
     t0 = schedule.t0
     c = schedule.slope
-    total = 0.0
+    terms = []   # (denom^2, Delta_e + K_e/T0) per suboptimal expert
     for e, p in enumerate(profiles):
         if e == e_star:
             continue
@@ -130,14 +135,22 @@ def ucb_regret_bound(profiles, schedule, n: int) -> float:
             raise GapTooSmallError(
                 f"expert {e}: gap {deltas[e]:.6f} <= 2 K_e/T0 = "
                 f"{2.0 * p.k_const / t0:.6f}")
-        pulls = 32.0 * math.log(n) / denom ** 2 + 1.0 + math.pi ** 2 / 3.0
-        total += pulls * (deltas[e] + p.k_const / t0)
+        terms.append((float(denom ** 2), float(deltas[e] + p.k_const / t0)))
     k_star = profiles[e_star].k_const
-    if c > 0:
-        total += k_star * _harmonic_bound(t0, c, n)
-    else:
-        total += k_star * n / t0
-    return total
+    bounds = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        total = 0.0
+        for square, weight in terms:
+            pulls = 32.0 * math.log(n) / square + 1.0 + math.pi ** 2 / 3.0
+            total += pulls * weight
+        if c > 0:
+            total += k_star * _harmonic_bound(t0, c, n)
+        else:
+            total += k_star * n / t0
+        bounds[i] = total
+    return bounds
 
 
 def _harmonic_bound(t0: int, c: float, n: int) -> float:

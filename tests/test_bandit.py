@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdpbandit.bandit import (
     BanditState,
@@ -35,7 +37,14 @@ def test_schedule_validation():
         HorizonSchedule(0, 0.1)
     with pytest.raises(ValueError):
         HorizonSchedule(4, -0.5)
+    # a fractional, boolean or non-numeric T0 and a non-finite slope would
+    # otherwise surface only at the first horizon(), or give T_0 = 4.5
+    for t0, slope in [(4.5, 0.0), (True, 0.0), ("4", 0.0), (4, math.nan),
+                      (4, math.inf)]:
+        with pytest.raises(ValueError):
+            HorizonSchedule(t0, slope)
     HorizonSchedule(1, 0.0)  # smallest legal schedule
+    HorizonSchedule(np.int64(4), 0.5)
 
 
 def test_horizon_hand_values():
@@ -132,6 +141,61 @@ def test_select_ucb_maximizes_the_index():
         e = select_ucb(state, ks, sched)
         idx = sums / pulls + ks / sched.t0 + np.sqrt(8 * np.log(n) / pulls)
         assert idx[e] == idx.max()
+
+
+def vectorised_select_ucb(state, k_consts, schedule):
+    """The index in numpy form, one array operation per term: the oracle
+    the plain-float select_ucb must match choice for choice."""
+    pulls = np.asarray(state.pulls)
+    sums = np.asarray(state.sums, dtype=float)
+    cold = np.flatnonzero(pulls == 0)
+    if cold.size:
+        return int(cold[0])
+    bounds = np.asarray(k_consts, dtype=float) / schedule.t0 \
+        + np.sqrt(8.0 * math.log(state.n) / pulls)
+    return int(np.argmax(sums / pulls + bounds))
+
+
+@st.composite
+def selector_cases(draw):
+    m = draw(st.integers(1, 8))
+    # small value pools make cold starts and exact ties common; their
+    # decimals (0.1 + 0.2 != 0.3) make near-ties that a regrouped sum breaks
+    counts = st.one_of(st.sampled_from([0, 1, 2, 5]), st.integers(1, 10**6))
+    totals = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 2.5]),
+                       st.floats(0.0, 1e6))
+    consts = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 2.0]),
+                       st.floats(0.0, 100.0))
+    if draw(st.booleans()):  # every expert identical: an exact m-way tie
+        pulls = [draw(counts)] * m
+        sums = [draw(totals)] * m
+        k_consts = [draw(consts)] * m
+    else:
+        pulls = draw(st.lists(counts, min_size=m, max_size=m))
+        sums = draw(st.lists(totals, min_size=m, max_size=m))
+        k_consts = draw(st.lists(consts, min_size=m, max_size=m))
+    t0 = draw(st.sampled_from([1, 4, 16, 64]))
+    as_arrays = draw(st.booleans())
+    return pulls, sums, k_consts, t0, as_arrays
+
+
+@settings(derandomize=True, deadline=None)
+@given(selector_cases())
+# 0.1 + (0.3 + b) < 0.2 + (0.2 + b), but (0.1 + 0.3) + b == (0.2 + 0.2) + b:
+# an index summed in another order would tie and pick expert 0
+@example(([1, 1], [0.1, 0.2], [0.3, 0.2], 1, False))
+@example(([1, 1], [0.1, 0.2], [0.3, 0.2], 1, True))
+def test_select_ucb_matches_the_vectorised_index(case):
+    pulls, sums, k_consts, t0, as_arrays = case
+    if as_arrays:
+        state = BanditState(pulls=np.array(pulls, dtype=np.int64),
+                            sums=np.array(sums), n=sum(pulls))
+    else:
+        state = BanditState(pulls=list(pulls), sums=list(sums), n=sum(pulls))
+    sched = HorizonSchedule(t0, 0.1)
+    got = select_ucb(state, k_consts, sched)
+    assert type(got) is int
+    assert got == vectorised_select_ucb(state, k_consts, sched)
 
 
 def test_ucb_selector_binds_constants():
@@ -314,6 +378,16 @@ def test_run_mab_argument_validation():
         run_mab(mdp, [], [], HorizonSchedule(4, 0.0), iterations=1)
     with pytest.raises(ValueError):
         run_mab(mdp, experts, None, HorizonSchedule(4, 0.0), iterations=1)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_run_mab_rejects_a_selector_index_out_of_range(bad):
+    # -1 would otherwise run the last expert and log expert -1
+    mdp, experts, profiles = two_arm_bandit()
+    with pytest.raises(ValueError, match=f"selector chose expert {bad} "):
+        run_mab(mdp, experts, profiles, HorizonSchedule(4, 0.0),
+                selector=lambda state, schedule: bad, iterations=3,
+                rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdpbandit.bandit import HorizonSchedule, RunLog, horizon
-from mdpbandit.chains import MixingProfile
+from mdpbandit.chains import MixingProfile, gaps
 from mdpbandit.regret import (
     GapTooSmallError,
     RegretCurve,
@@ -19,6 +19,7 @@ from mdpbandit.regret import (
     log_linear_fit,
     regret_from_rewards,
     ucb_regret_bound,
+    ucb_regret_bounds,
     write_aggregate_csv,
     write_reward_time_csv,
 )
@@ -225,6 +226,61 @@ def test_ucb_regret_bound_monotone_in_n():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         ucb_regret_bound(profiles, sched, 0)
+    with pytest.raises(ValueError):
+        ucb_regret_bounds(profiles, sched, [3, 0])
+
+
+def per_n_ucb_regret_bound(profiles, schedule, n):
+    """The bound worked out from the profiles at every n, gap check
+    included: the oracle for the once-per-run constants of
+    ucb_regret_bounds, which must agree bit for bit."""
+    e_star, deltas = gaps(profiles)
+    t0 = schedule.t0
+    c = schedule.slope
+    total = 0.0
+    for e, p in enumerate(profiles):
+        if e == e_star:
+            continue
+        denom = deltas[e] - 2.0 * p.k_const / t0
+        if denom <= 0:
+            raise GapTooSmallError(
+                f"expert {e}: gap {deltas[e]:.6f} <= 2 K_e/T0 = "
+                f"{2.0 * p.k_const / t0:.6f}")
+        pulls = 32.0 * math.log(n) / denom ** 2 + 1.0 + math.pi ** 2 / 3.0
+        total += pulls * (deltas[e] + p.k_const / t0)
+    k_star = profiles[e_star].k_const
+    if c > 0:
+        total += k_star * (1.0 / t0 + (1.0 / c) * math.log(
+            (t0 - 0.5 + c * (n - 1)) / (t0 - 0.5)))
+    else:
+        total += k_star * n / t0
+    return total
+
+
+@pytest.mark.parametrize("t0", [4, 16, 64])
+@pytest.mark.parametrize("c", [0.0, 0.1])
+def test_ucb_regret_bounds_equal_the_per_n_form(t0, c):
+    # the best expert sits second, so the expert-order sum skips a middle term
+    profiles = [prof(0.5, 0.1), prof(0.74, 0.2), prof(0.03, 0.25),
+                prof(0.2, 0.3)]
+    sched = HorizonSchedule(t0, c)
+    ns = range(1, 2001)
+    expected = [per_n_ucb_regret_bound(profiles, sched, n) for n in ns]
+    assert ucb_regret_bounds(profiles, sched, ns).tolist() == expected
+    assert [ucb_regret_bound(profiles, sched, n) for n in ns] == expected
+
+
+def test_ucb_regret_bounds_gap_error_message():
+    profiles = [prof(0.74, 2.0), prof(0.5, 0.1), prof(0.24, 2.0)]
+    sched = HorizonSchedule(4, 0.1)
+    with pytest.raises(GapTooSmallError) as want:
+        per_n_ucb_regret_bound(profiles, sched, 10)
+    assert str(want.value) == "expert 2: gap 0.500000 <= 2 K_e/T0 = 1.000000"
+    for bound in (lambda: ucb_regret_bounds(profiles, sched, range(1, 10)),
+                  lambda: ucb_regret_bound(profiles, sched, 10)):
+        with pytest.raises(GapTooSmallError) as got:
+            bound()
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
