@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "InducedChain",
@@ -73,18 +71,23 @@ def induced_chain(mdp, policy) -> InducedChain:
 def check_ergodicity(chain: InducedChain) -> dict:
     """{'irreducible': bool, 'aperiodic': bool} from the positive-entry digraph.
 
-    Periods come from a BFS level assignment per strongly connected
-    component: the gcd of (level[u] + 1 - level[v]) over internal edges
-    u -> v is the component's period.  Components with no internal edge
-    carry no cycle and are skipped.
+    u and v share a strongly connected component, labelled by its lowest
+    state, when each reaches the other in A | I squared (S - 1).bit_length()
+    times (exact in floats: entries stay <= S).  Periods: the gcd of
+    (level[u] + 1 - level[v]) over a component's edges u -> v, with BFS
+    levels; components with no internal edge are skipped.
     """
     A = chain.kernel > 0
-    n_comp, labels = connected_components(csr_matrix(A), connection="strong")
     S = chain.kernel.shape[0]
+    R = (A | np.eye(S, dtype=bool)).astype(float)
+    for _ in range((S - 1).bit_length()):
+        R = (R @ R > 0).astype(float)
+    labels = ((R > 0) & (R.T > 0)).argmax(axis=1)
+    roots = np.flatnonzero(labels == np.arange(S))
     adj = [np.flatnonzero(A[s]) for s in range(S)]
 
     aperiodic = True
-    for comp in range(n_comp):
+    for comp in roots:
         members = np.flatnonzero(labels == comp)
         internal = [u for u in members
                     if any(labels[v] == comp for v in adj[u])]
@@ -107,7 +110,7 @@ def check_ergodicity(chain: InducedChain) -> dict:
                     queue.append(v)
         if g != 1:
             aperiodic = False
-    return {"irreducible": bool(n_comp == 1), "aperiodic": aperiodic}
+    return {"irreducible": bool(roots.size == 1), "aperiodic": aperiodic}
 
 
 def _require_ergodic(chain: InducedChain) -> None:

@@ -97,10 +97,11 @@ class ExperimentSpec:
                self.events)
         for ev in self.events:
             _check(isinstance(ev, dict) and _is_int(ev.get("iteration"))
-                   and isinstance(ev.get("mdp", ""), str)
-                   and bool({"permutation", "mdp"} & ev.keys()),
-                   "an event needs an integer iteration and either a "
-                   "permutation or an mdp file name", ev)
+                   and ev["iteration"] >= 0
+                   and ev.keys() - {"iteration"} in ({"permutation"}, {"mdp"})
+                   and isinstance(ev.get("mdp", ""), str),
+                   "an event needs an integer iteration >= 0 and exactly one "
+                   "of a permutation or an mdp file name", ev)
 
 
 def _check(ok: bool, message: str, value) -> None:
@@ -229,6 +230,7 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
     aggregate.csv (n, mean_regret, std_regret, theory_bound) and
     reward_time.csv (t, mean_cumulative_reward).  Returns a summary dict.
     """
+    _check(workers >= 1, "workers must be >= 1", workers)
     mdp, experts, events = resolve_environment(spec)
     e_star, profiles = nominal_profiles(mdp, experts, spec.bound_k)
     r_star = profiles[e_star].steady_reward
@@ -241,7 +243,7 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
     # results come back in spec order either way (pool.map keeps it), so
     # the aggregate is identical however the seeds ran
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(min(workers, len(payloads))) as pool:
             results = list(pool.map(_seed_task, payloads))
     else:
         results = [_seed_task(payload) for payload in payloads]

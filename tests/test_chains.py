@@ -1,5 +1,6 @@
 """Induced chains, ergodicity checks, mixing certificates, steady rewards."""
 
+import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -111,6 +112,62 @@ def test_ergodicity_absorbing_chain_reducible_but_aperiodic():
     flags = check_ergodicity(chain([[1.0, 0.0], [0.5, 0.5]]))
     assert flags["irreducible"] is False
     assert flags["aperiodic"] is True
+
+
+def reachable(edges, u):
+    """States reachable from u in zero or more steps (BFS)."""
+    seen, queue = {u}, [u]
+    while queue:
+        w = queue.pop()
+        for v in edges[w] - seen:
+            seen.add(v)
+            queue.append(v)
+    return seen
+
+
+def oracle_ergodicity(pattern):
+    """Flags from first principles, independent of check_ergodicity's
+    closure and BFS levels.  A component's period is the gcd of the lengths
+    k <= |C| of the closed walks through its states: every simple cycle is
+    that short, and every closed walk splits into simple cycles."""
+    S = len(pattern)
+    edges = [{v for v in range(S) if pattern[u][v]} for u in range(S)]
+    reach = [reachable(edges, u) for u in range(S)]
+    periods = {}
+    for u in range(S):
+        comp = frozenset(v for v in reach[u] if u in reach[v])
+        walk = {u}
+        for k in range(1, len(comp) + 1):
+            walk = set().union(*(edges[w] for w in walk))
+            if u in walk:
+                periods[comp] = math.gcd(periods.get(comp, 0), k)
+    aperiodic = all(p == 1 for p in periods.values())
+    return {"irreducible": all(len(r) == S for r in reach),
+            "aperiodic": aperiodic}
+
+
+@st.composite
+def positivity_patterns(draw):
+    """0/1 patterns on 1-7 states, self-loops included, with a permutation
+    laid under half of them so that cycles and periodic chains are common."""
+    S = draw(st.integers(1, 7))
+    pattern = [[False] * S for _ in range(S)]
+    if draw(st.booleans()):
+        for u, v in enumerate(draw(st.permutations(range(S)))):
+            pattern[u][v] = True
+    cells = st.tuples(st.integers(0, S - 1), st.integers(0, S - 1))
+    for u, v in draw(st.lists(cells, max_size=2 * S)):
+        pattern[u][v] = True
+    return pattern
+
+
+@given(positivity_patterns())
+@settings(derandomize=True, deadline=None, max_examples=400)
+def test_ergodicity_matches_a_reachability_oracle(pattern):
+    A = np.array(pattern, dtype=float)
+    # row-normalised where a row has mass; only the positive entries matter
+    kernel = A / np.maximum(A.sum(axis=1, keepdims=True), 1.0)
+    assert check_ergodicity(chain(kernel)) == oracle_ergodicity(pattern)
 
 
 # ---------------------------------------------------------------------------

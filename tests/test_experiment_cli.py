@@ -6,14 +6,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdpbandit
+from mdpbandit import experiment
 from mdpbandit.bandit import RunLog
 from mdpbandit.cli import main
 from mdpbandit.experiment import (
@@ -68,6 +72,33 @@ def test_spec_round_trip(tmp_path):
     save_spec(spec, tmp_path / "spec.json")
     back = load_spec(tmp_path / "spec.json")
     assert back == spec
+
+
+@st.composite
+def specs(draw, base):
+    """Valid specs with absolute paths (load_spec resolves relative ones)
+    that name no files, so that loading needs nothing on disk."""
+    ints = st.integers(-2**63, 2**63 - 1)
+    events = st.fixed_dictionaries({"iteration": st.integers(0, 10**6),
+                                    "permutation": st.permutations(range(4))})
+    # quotes, escapes, non-ASCII and a lone surrogate in the label
+    return ExperimentSpec(
+        label=draw(st.text("a é\u2603\"\\\n\ud800")),
+        t0=draw(st.integers(1, 10**6)), c=draw(st.floats(0.0, 1e6)),
+        iterations=draw(st.integers(1, 10**9)),
+        seeds=draw(st.lists(ints, min_size=1, max_size=5, unique=True)),
+        out=str(base / draw(st.text("abc_", min_size=1, max_size=8))),
+        events=draw(st.lists(events, max_size=3)),
+        bound_k=draw(st.floats(0.0, 1e6, exclude_min=True)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_spec_save_load_round_trip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = data.draw(specs(Path(tmp)))
+        save_spec(spec, Path(tmp) / "spec.json")
+        assert load_spec(Path(tmp) / "spec.json") == spec
 
 
 def test_load_spec_resolves_relative_paths(tmp_path):
@@ -521,6 +552,16 @@ MALFORMED_FIELDS = {
     "layout-number": ("layout", 3),
     "event-iteration-float": ("events", [{"iteration": 2.5,
                                           "permutation": [0, 1, 2, 3]}]),
+    # unchecked, all three run: a negative iteration swaps the dynamics
+    # before the first pull, both keys silently take the file, "mpd" is lost
+    "event-iteration-negative": ("events", [{"iteration": -3,
+                                             "permutation": [1, 0, 2, 3]}]),
+    "event-permutation-and-mdp": ("events", [{"iteration": 2,
+                                              "permutation": [1, 0, 2, 3],
+                                              "mdp": "swap.json"}]),
+    "event-misspelled-key": ("events", [{"iteration": 2,
+                                         "permutation": [1, 0, 2, 3],
+                                         "mpd": "swap.json"}]),
 }
 
 
@@ -531,7 +572,9 @@ def test_malformed_spec_field_exits_one(tmp_path, case):
     key, value = MALFORMED_FIELDS[case]
     doc = {"label": "bad", "t0": 4, "c": 0.1, "iterations": 5,
            "seeds": [0], "out": "bad", "layout": "strip.grid", key: value}
-    strip_layout(tmp_path)
+    # a valid replacement MDP, so that an event naming it would run
+    save_mdp(resolve_environment(tiny_spec(tmp_path))[0],
+             tmp_path / "swap.json")
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     code, out, err = run_cli(["run", "--config", str(tmp_path / "bad.json")])
     assert code == 1, err
@@ -555,6 +598,48 @@ def test_duplicate_seed_overrides_exit_one(tmp_path):
                                 "--out", str(out)])
         assert code == 1 and "duplicate seeds" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_one(tmp_path, command, workers):
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    out = tmp_path / "workers"
+    code, stdout, err = run_cli([command, "--config",
+                                 str(tmp_path / "spec.json"), "--workers",
+                                 workers, "--out", str(out)])
+    assert code == 1 and "workers must be >= 1" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_run_spec_asks_for_at_most_one_worker_per_seed(tmp_path,
+                                                       monkeypatch):
+    # an in-process stand-in records the pool size without starting any
+    # process: with the fork start method every worker starts up front
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    spec = tiny_spec(tmp_path, seeds=[0, 1], out=str(tmp_path / "pool"))
+    run_spec(spec, workers=3)
+    assert asked == [2]
+    run_spec(replace(spec, out=str(tmp_path / "serial")))
+    assert asked == [2]
+    for name in ("runlog_seed0.csv", "runlog_seed1.csv", "aggregate.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() \
+            == (tmp_path / "serial" / name).read_bytes()
 
 
 def nan_files(tmp_path):
@@ -612,6 +697,27 @@ def test_cli_run_seed_override_writes_one_log(tmp_path):
     assert log.meta["seed"] == "7"
 
 
+def run_fresh_python(code):
+    """Run code in a fresh interpreter that imports the same package this
+    suite imports."""
+    root = str(Path(mdpbandit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the one runtime dependency: importing scipy takes longer
+    # than the rest of the package start-up
+    out = run_fresh_python(
+        "import sys, mdpbandit.cli; print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_declared_entry_point_serves_help():
     # what pyproject.toml declares as the console script must exist and
     # answer --help, whether or not the package is installed
@@ -622,16 +728,10 @@ def test_declared_entry_point_serves_help():
     assert scripts == {"mdpbandit": "mdpbandit.cli:main"}
 
     module, func = scripts["mdpbandit"].split(":")
-    # run the target the way a console-script wrapper does, in a fresh
-    # interpreter that imports the same package this suite imports
-    code = (f"import sys; from {module} import {func}; "
-            f"sys.argv = ['mdpbandit', '--help']; sys.exit({func}())")
-    root = str(Path(mdpbandit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60, env=env)
+    # run the target the way a console-script wrapper does
+    out = run_fresh_python(f"import sys; from {module} import {func}; "
+                           f"sys.argv = ['mdpbandit', '--help']; "
+                           f"sys.exit({func}())")
     assert out.returncode == 0, out.stderr
     for word in ("analyze", "run", "sweep", "bench"):
         assert word in out.stdout

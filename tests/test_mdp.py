@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +430,58 @@ def test_mdp_json_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.reward_probs, mdp.reward_probs)
     np.testing.assert_array_equal(back.observation, mdp.observation)
     np.testing.assert_array_equal(back.initial_dist, mdp.initial_dist)
+
+
+def stochastic(draw, shape):
+    """Rows of drawn floats, normalised: arbitrary bit patterns that still
+    pass validation."""
+    n = math.prod(shape)
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                 max_size=n))).reshape(shape)
+    raw[..., 0] += 1.0
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def drawn_mdps(draw):
+    S, A, V, Y = (draw(st.integers(1, n)) for n in (4, 3, 2, 3))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=S * A * S * V,
+                           max_size=S * A * S * V))
+    return FiniteMdp(
+        n_states=S, n_actions=A, n_obs=Y,
+        transition=stochastic(draw, (S, A, S)),
+        reward_values=np.array(values).reshape(S, A, S, V),
+        reward_probs=stochastic(draw, (S, A, S, V)),
+        observation=stochastic(draw, (S, Y)),
+        initial_dist=stochastic(draw, (S,)))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(drawn_mdps(),
+       st.lists(st.floats(allow_nan=False), min_size=1, max_size=12),
+       st.integers(-2**63, 2**63 - 1))
+def test_mdp_and_policy_files_round_trip_bit_for_bit(mdp, entries, expert_id):
+    # load_policy does not validate: every entry but NaN, whose payload JSON
+    # does not keep, must survive
+    policy = ExpertPolicy(policy=np.array(entries).reshape(len(entries), 1),
+                          expert_id=expert_id)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_mdp(mdp, Path(tmp) / "m.json")
+        save_policy(policy, Path(tmp) / "p.json")
+        back = load_mdp(Path(tmp) / "m.json")
+        pol = load_policy(Path(tmp) / "p.json")
+    assert (back.n_states, back.n_actions, back.n_obs) \
+        == (mdp.n_states, mdp.n_actions, mdp.n_obs)
+    for name in ("transition", "reward_values", "reward_probs", "observation",
+                 "initial_dist"):
+        assert same_bits(getattr(back, name), getattr(mdp, name)), name
+    assert same_bits(pol.policy, policy.policy)
+    assert pol.expert_id == expert_id
 
 
 def test_load_mdp_rejects_bad_files(tmp_path):
