@@ -16,10 +16,10 @@ the choice.  Submodules:
 
 from .bandit import BanditState, HorizonSchedule, RunLog, confidence_bound, \
     horizon, run_mab, select_ucb, ucb_selector
-from .chains import InducedChain, MixingProfile, NoConvergenceError, \
-    NotErgodicError, check_ergodicity, expected_avg_reward_from_state, gaps, \
-    induced_chain, mixing_constants, profile_expert, slem, \
-    stationary_distribution, steady_state_reward, with_gaps
+from .chains import InducedChain, MixingProfile, NotErgodicError, \
+    check_ergodicity, expected_avg_reward_from_state, gaps, induced_chain, \
+    mixing_constants, profile_expert, slem, stationary_distribution, \
+    steady_state_reward, with_gaps
 from .experiment import ExperimentSpec, load_spec, nominal_profiles, \
     run_spec, save_spec, sweep_spec
 from .gridworld import GridworldConfig, LayoutError, benchmark_config, \

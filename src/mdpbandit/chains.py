@@ -19,7 +19,6 @@ __all__ = [
     "InducedChain",
     "MixingProfile",
     "NotErgodicError",
-    "NoConvergenceError",
     "induced_chain",
     "check_ergodicity",
     "stationary_distribution",
@@ -35,10 +34,6 @@ __all__ = [
 
 class NotErgodicError(Exception):
     """Chain is reducible or periodic; the steady-state machinery needs both."""
-
-
-class NoConvergenceError(Exception):
-    """Iteration budget exhausted before reaching tolerance."""
 
 
 @dataclass

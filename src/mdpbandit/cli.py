@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chains import NoConvergenceError, NotErgodicError, check_ergodicity, \
-    induced_chain, profile_expert, with_gaps
+from .chains import NotErgodicError, check_ergodicity, induced_chain, \
+    profile_expert, with_gaps
 from .experiment import ExperimentSpec, load_spec, run_spec, save_spec, \
     sweep_spec
 from .gridworld import DEFAULT_T0_SWEEP, benchmark_config, build_experts, \
@@ -217,9 +217,6 @@ def main(argv=None) -> int:
     except (NotErgodicError, GapTooSmallError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
-    except NoConvergenceError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

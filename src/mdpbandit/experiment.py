@@ -32,7 +32,7 @@ import numpy as np
 from .bandit import HorizonSchedule, run_mab
 from .chains import MixingProfile, induced_chain, stationary_distribution, \
     steady_state_reward, with_gaps
-from .mdp import load_mdp, load_policies, write_csv
+from .mdp import _is_int, load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
     cumulative_regret, cumulative_reward_time, ucb_regret_bounds, \
     write_aggregate_csv, write_reward_time_csv
@@ -97,20 +97,16 @@ class ExperimentSpec:
                self.events)
         for ev in self.events:
             _check(isinstance(ev, dict) and _is_int(ev.get("iteration"))
-                   and ev["iteration"] >= 0
+                   and ev["iteration"] >= 1
                    and ev.keys() - {"iteration"} in ({"permutation"}, {"mdp"})
                    and isinstance(ev.get("mdp", ""), str),
-                   "an event needs an integer iteration >= 0 and exactly one "
+                   "an event needs an integer iteration >= 1 and exactly one "
                    "of a permutation or an mdp file name", ev)
 
 
 def _check(ok: bool, message: str, value) -> None:
     if not ok:
         raise ValueError(f"{message}, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -9,7 +9,7 @@ directions that stay inside.  Rewards are deterministic and keyed on the
 destination cell by default (green 1.0, trap 0.0, anything else 0.1).
 
 Experts differ only in how their action labels map to directions: expert j
-is trained by value iteration on the MDP with its actions permuted by
+is trained by policy iteration on the MDP with its actions permuted by
 sigma_j, then deployed on the true dynamics.  The benchmark's perturbation
 event re-permutes the true dynamics mid-run, which silently changes which
 expert's training assumption is the right one.
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import NoConvergenceError
 from .mdp import ExpertPolicy, FiniteMdp, deterministic_reward
 
 __all__ = [
@@ -241,40 +240,39 @@ def permute_actions(mdp: FiniteMdp, permutation) -> FiniteMdp:
                      initial_dist=mdp.initial_dist)
 
 
-def train_expert(mdp: FiniteMdp, discount: float = 0.95, tol: float = 1e-9,
-                 expert_id: int = 0, max_iter: int = 100000) -> ExpertPolicy:
-    """Discounted value iteration on mean rewards, greedy extraction.
+def train_expert(mdp: FiniteMdp, discount: float = 0.95,
+                 expert_id: int = 0) -> ExpertPolicy:
+    """Discounted policy iteration on mean rewards, greedy extraction.
 
-    Ties in the greedy step go to the lowest action index.
+    Each policy is evaluated exactly by one linear solve.  A state moves
+    only to a strictly better action, so only float rounding could bring a
+    policy back; the loop stops at the first repeat.  Ties in the final
+    greedy step go to the lowest action index.
     """
     if not 0.0 < discount < 1.0:
         raise ValueError(f"discount must be in (0, 1), got {discount}")
     P = mdp.transition
     r_sa = np.einsum("saj,saj->sa", P, mdp.mean_reward())
-    v = np.zeros(mdp.n_states)
-    for _ in range(max_iter):
+    states = np.arange(mdp.n_states)
+    actions = np.zeros(mdp.n_states, dtype=int)
+    seen = set()
+    while actions.tobytes() not in seen:
+        seen.add(actions.tobytes())
+        P_pi, r_pi = P[states, actions], r_sa[states, actions]
+        v = np.linalg.solve(np.eye(mdp.n_states) - discount * P_pi, r_pi)
         q = r_sa + discount * (P @ v)
-        v_new = q.max(axis=1)
-        if np.abs(v_new - v).max() < tol:
-            v = v_new
-            break
-        v = v_new
-    else:
-        raise NoConvergenceError(
-            f"value iteration did not reach tol={tol} in {max_iter} sweeps")
-    q = r_sa + discount * (P @ v)
-    greedy = q.argmax(axis=1)
+        greedy = q.argmax(axis=1)
+        actions = np.where(q[states, greedy] > q[states, actions], greedy,
+                           actions)
     pi = np.zeros((mdp.n_states, mdp.n_actions))
-    pi[np.arange(mdp.n_states), greedy] = 1.0
+    pi[states, greedy] = 1.0
     return ExpertPolicy(policy=pi, expert_id=expert_id)
 
 
-def build_experts(mdp: FiniteMdp, config: GridworldConfig,
-                  discount: float = 0.95, tol: float = 1e-9):
+def build_experts(mdp: FiniteMdp, config: GridworldConfig):
     """One expert per configured permutation, trained on its own permuted
     view of the dynamics and deployed on the true ones."""
-    return [train_expert(permute_actions(mdp, sigma), discount, tol,
-                         expert_id=j)
+    return [train_expert(permute_actions(mdp, sigma), expert_id=j)
             for j, sigma in enumerate(config.permutations)]
 
 

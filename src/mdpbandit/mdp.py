@@ -27,6 +27,7 @@ the record flag never shifts what a seeded run draws.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ class FiniteMdp:
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
     special case, see :func:`deterministic_reward`.  Instances are treated
     as immutable after construction; the sampler caches lookup tables on
-    the instance, keyed by nothing else.
+    the instance, and dataclasses.replace starts the copy without them.
     """
 
     n_states: int
@@ -74,7 +75,7 @@ class FiniteMdp:
     reward_probs: np.ndarray        # (S, A, S, V)
     observation: np.ndarray         # (S, Y)
     initial_dist: np.ndarray        # (S,)
-    _tables: object = field(default=None, repr=False, compare=False)
+    _tables: object = field(default=None, init=False, repr=False, compare=False)
 
     def mean_reward(self) -> np.ndarray:
         """Expected reward per (s, a, s'), shape (S, A, S)."""
@@ -87,7 +88,7 @@ class ExpertPolicy:
 
     policy: np.ndarray
     expert_id: int = 0
-    _tables: object = field(default=None, repr=False, compare=False)
+    _tables: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -191,6 +192,18 @@ def reduce_observation_expert(obs_map: np.ndarray, observation: np.ndarray,
             f"observation table {observation.shape} does not compose with "
             f"obs_map {obs_map.shape}")
     return ExpertPolicy(policy=observation @ obs_map, expert_id=expert_id)
+
+
+def _is_int(value) -> bool:
+    """The integer rule for every file field: JSON true/false are not 1/0."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int_field(doc: dict, key: str) -> int:
+    value = doc[key]
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _cdf(probs: np.ndarray) -> list:
@@ -364,9 +377,9 @@ def load_mdp(path) -> FiniteMdp:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     try:
         mdp = FiniteMdp(
-            n_states=int(doc["states"]),
-            n_actions=int(doc["actions"]),
-            n_obs=int(doc["observations"]),
+            n_states=_int_field(doc, "states"),
+            n_actions=_int_field(doc, "actions"),
+            n_obs=_int_field(doc, "observations"),
             transition=np.asarray(doc["transition"], dtype=float),
             reward_values=np.asarray(doc["reward"]["values"], dtype=float),
             reward_probs=np.asarray(doc["reward"]["probs"], dtype=float),
@@ -393,7 +406,7 @@ def load_policy(path) -> ExpertPolicy:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return ExpertPolicy(policy=np.asarray(doc["policy"], dtype=float),
-                            expert_id=int(doc["expert_id"]))
+                            expert_id=_int_field(doc, "expert_id"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed field ({exc})") from exc
 

@@ -79,7 +79,7 @@ def specs(draw, base):
     """Valid specs with absolute paths (load_spec resolves relative ones)
     that name no files, so that loading needs nothing on disk."""
     ints = st.integers(-2**63, 2**63 - 1)
-    events = st.fixed_dictionaries({"iteration": st.integers(0, 10**6),
+    events = st.fixed_dictionaries({"iteration": st.integers(1, 10**6),
                                     "permutation": st.permutations(range(4))})
     # quotes, escapes, non-ASCII and a lone surrogate in the label
     return ExperimentSpec(
@@ -457,6 +457,28 @@ def test_cli_analyze_stdout_for_a_small_chain(tmp_path):
     assert cols[6] == "true" and cols[7] == "true"
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("p.json", "expert_id", 2.7),
+    ("p.json", "expert_id", True),
+    ("m.json", "states", 2.9),
+    ("m.json", "actions", True),
+    ("m.json", "observations", 2.0),
+])
+def test_cli_analyze_integer_file_fields_must_be_json_integers(
+        tmp_path, name, key, value):
+    # int() would label expert 2.7 as expert 2 and true as expert 1, and
+    # read 2.9 states as 2, each with exit 0
+    P = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])
+    save_mdp(make_mdp(P, np.zeros((2, 1, 2))), tmp_path / "m.json")
+    save_policy(det_policy([0, 0], 1, expert_id=2), tmp_path / "p.json")
+    doc = json.loads((tmp_path / name).read_text())
+    (tmp_path / name).write_text(json.dumps({**doc, key: value}))
+    code, out, err = run_cli(
+        ["analyze", str(tmp_path / "m.json"), str(tmp_path / "p.json")])
+    assert code == 1 and out == ""
+    assert f"{key} must be an integer, got {value!r}" in err
+
+
 def test_cli_analyze_out_file_matches_stdout(tmp_path):
     mdp, pol, _, _ = nan_files(tmp_path)
     code, out, _ = run_cli(["analyze", str(mdp), str(pol)])
@@ -552,8 +574,11 @@ MALFORMED_FIELDS = {
     "layout-number": ("layout", 3),
     "event-iteration-float": ("events", [{"iteration": 2.5,
                                           "permutation": [0, 1, 2, 3]}]),
-    # unchecked, all three run: a negative iteration swaps the dynamics
-    # before the first pull, both keys silently take the file, "mpd" is lost
+    # unchecked, all four run: a zero or negative iteration swaps the
+    # dynamics before the first pull while regret is still measured against
+    # the original R_bar*, both keys silently take the file, "mpd" is lost
+    "event-iteration-zero": ("events", [{"iteration": 0,
+                                         "permutation": [1, 0, 2, 3]}]),
     "event-iteration-negative": ("events", [{"iteration": -3,
                                              "permutation": [1, 0, 2, 3]}]),
     "event-permutation-and-mdp": ("events", [{"iteration": 2,

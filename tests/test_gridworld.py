@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpbandit.chains import check_ergodicity, induced_chain
 from mdpbandit.gridworld import (
@@ -28,7 +30,7 @@ from mdpbandit.mdp import validate_mdp
 from test_mdp import make_mdp
 
 
-# frozen outputs of value iteration on the shipped benchmark, one greedy
+# frozen outputs of expert training on the shipped benchmark, one greedy
 # action per state, row major from the top-left cell
 BENCH_POLICIES = [
     [3, 3, 3, 3, 1, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 2],
@@ -208,7 +210,7 @@ def test_benchmark_permutations_give_distinct_dynamics(bench):
 
 
 # ---------------------------------------------------------------------------
-# value iteration
+# policy iteration
 
 
 def test_train_expert_picks_highest_immediate_reward():
@@ -242,6 +244,63 @@ def test_train_expert_discount_validation():
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
             train_expert(mdp, discount=bad)
+
+
+@st.composite
+def coarse_mdps(draw):
+    """Sparse kernels and rewards on a 0.1 or 0.25 grid, so that exact and
+    near ties between actions occur; returns (mdp, discount)."""
+    S = draw(st.integers(1, 6))
+    A = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]),
+                                     min_size=S * A * S, max_size=S * A * S)))
+    weights = weights.reshape(S, A, S)
+    # one drawn successor per (s, a) always gets mass, so every row has some
+    anchor = draw(st.lists(st.integers(0, S - 1), min_size=S * A,
+                           max_size=S * A))
+    weights[np.repeat(np.arange(S), A), np.tile(np.arange(A), S), anchor] += 1
+    step = draw(st.sampled_from([0.1, 0.25]))
+    levels = draw(st.lists(st.integers(0, round(1 / step)),
+                           min_size=S * A * S, max_size=S * A * S))
+    rewards = np.round(np.array(levels) * step, 2).reshape(S, A, S)
+    discount = draw(st.sampled_from([0.5, 0.9, 0.95]))
+    P = weights / weights.sum(axis=2, keepdims=True)
+    return make_mdp(P, rewards), discount
+
+
+def value_iteration_q(mdp, discount, tol=1e-12):
+    """Oracle: the value-iteration loop that trained the experts before
+    policy iteration, run to tol; returns the q table of its values."""
+    P = mdp.transition
+    r_sa = np.einsum("saj,saj->sa", P, mdp.mean_reward())
+    v = np.zeros(mdp.n_states)
+    for _ in range(100000):
+        v_new = (r_sa + discount * (P @ v)).max(axis=1)
+        if np.abs(v_new - v).max() < tol:
+            return r_sa + discount * (P @ v_new)
+        v = v_new
+    raise AssertionError(f"value iteration did not reach tol={tol}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coarse_mdps())
+def test_train_expert_is_optimal_and_agrees_with_value_iteration(case):
+    mdp, discount = case
+    S = mdp.n_states
+    actions = train_expert(mdp, discount).policy.argmax(axis=1)
+    # exact value of the returned policy: no action improves on it
+    P = mdp.transition
+    r_sa = np.einsum("saj,saj->sa", P, mdp.mean_reward())
+    states = np.arange(S)
+    v = np.linalg.solve(np.eye(S) - discount * P[states, actions],
+                        r_sa[states, actions])
+    assert ((r_sa + discount * (P @ v)).max(axis=1) - v).max() <= 1e-12
+    # the oracle decides every state whose best action is clear of the
+    # runner-up; exact ties may go either way by a rounding
+    q = value_iteration_q(mdp, discount)
+    top = np.sort(np.c_[np.full(S, -np.inf), q], axis=1)
+    clear = top[:, -1] - top[:, -2] > 1e-8
+    np.testing.assert_array_equal(actions[clear], q.argmax(axis=1)[clear])
 
 
 # ---------------------------------------------------------------------------

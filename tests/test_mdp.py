@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,36 @@ def test_run_expert_two_state_cycle_alternates():
     np.testing.assert_array_equal(traj.actions, [0, 0])
     np.testing.assert_array_equal(traj.rewards, [1.0, 0.0])
     np.testing.assert_array_equal(traj.observations, [0, 1])
+
+
+def swap_or_stay():
+    """Two states; action 0 swaps them, action 1 stays.  Entering state 1
+    pays 1, so from state 0 two swap steps average 0.5 and two stay steps
+    average 0."""
+    P = np.zeros((2, 2, 2))
+    P[:, 0] = np.eye(2)[::-1]
+    P[:, 1] = np.eye(2)
+    R = np.zeros((2, 2, 2))
+    R[..., 1] = 1.0
+    return make_mdp(P, R), det_policy([0, 0], 2), det_policy([1, 1], 2)
+
+
+def test_replaced_mdp_samples_its_own_dynamics():
+    # the sampler caches its tables on the instance; a copy made with
+    # dataclasses.replace must build its own, not inherit the old ones
+    mdp, swap, _ = swap_or_stay()
+    rng = np.random.default_rng(0)
+    assert run_expert(mdp, swap, 0, 2, rng, record=False)[0] == 0.5
+    held = replace(mdp, transition=mdp.transition[:, [1, 1]].copy())
+    assert run_expert(held, swap, 0, 2, rng, record=False)[0] == 0.0
+
+
+def test_replaced_policy_samples_its_own_actions():
+    mdp, swap, stay = swap_or_stay()
+    rng = np.random.default_rng(0)
+    assert run_expert(mdp, swap, 0, 2, rng, record=False)[0] == 0.5
+    relabeled = replace(swap, policy=stay.policy)
+    assert run_expert(mdp, relabeled, 0, 2, rng, record=False)[0] == 0.0
 
 
 def test_run_expert_long_average_near_steady_state():

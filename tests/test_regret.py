@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpbandit.bandit import HorizonSchedule, RunLog, horizon
 from mdpbandit.chains import MixingProfile, gaps
@@ -122,6 +124,25 @@ def test_decomposition_identity_on_mixed_synthetic_run():
     r = regret_from_rewards(rewards, 0.7)
     gap = np.abs(np.asarray(t1 + t2 + t3 - r, dtype=float))
     assert gap.max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       st.integers(1, 2000), st.integers(0, 2 ** 32 - 1))
+def test_decomposition_terms_sum_to_the_regret(steady, n, seed):
+    # hypothesis draws the experts' steady rewards and the run length; the
+    # run itself comes from a seeded generator, since drawing thousands of
+    # pulls element by element would cost seconds per example
+    rng = np.random.default_rng(seed)
+    experts = rng.integers(0, len(steady), size=n)
+    rewards = rng.random(n)
+    profiles = [prof(r) for r in steady]
+    t1, t2, t3 = decomposition_terms(synthetic_log(experts, rewards),
+                                     profiles)
+    r = regret_from_rewards(rewards, max(steady))
+    error = np.abs(np.asarray(t1 + t2 + t3 - r, dtype=float))
+    scale = np.maximum(1.0, np.abs(np.asarray(r, dtype=float)))
+    assert (error <= 1e-12 * scale).all()
 
 
 def test_decomposition_identity_on_benchmark_runs(bench, hundred_runs):
