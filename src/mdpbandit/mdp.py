@@ -17,11 +17,29 @@ Deterministic policies (one-hot rows), deterministic rewards and identity
 observations consume exactly T uniforms per rollout.  The observation block
 comes last so the state and reward stream never depends on the kernel O.
 
-run_expert has two step loops: a fast one for a deterministic policy with
-deterministic rewards and record=False, and one general loop for every other
-case.  record=True on a deterministic policy and reward runs the general loop
-on a (T, 1) block, which is the same stream as the fast loop's (T,) block, so
-the record flag never shifts what a seeded run draws.
+The sampler keeps each row on its positive entries only.  Per MDP, built
+once and shared by its experts, each (s, a) row holds the next states, their
+cumulative mass and their reward rows, each reward row on its support points
+of positive probability.  Per (MDP, expert), a stepper holds, for each state,
+the policy's cumulative row over the actions it takes and those actions' MDP
+rows; a deterministic policy has the row [1.0].  These rows draw what full
+rows would: bisect_right returns the first entry whose cumulative mass
+exceeds u, and a zero-mass entry repeats the value before it, so that entry
+has positive mass unless u lies past the last positive entry, which _cdf pins
+to exactly 1.0 > u.
+
+run_expert has three step loops over these rows: a fast one for a
+deterministic policy with deterministic rewards and record=False, a general
+one for every other case with record=False, and a recording one for
+record=True.  The last two read a deterministic source's draw as 0.0, which
+picks the one entry of its row [1.0].  A (T, d) block and a flat T * d block
+are the same stream, so the record flag never shifts what a seeded run draws.
+
+FiniteMdp._tables maps None to the MDP's rows and id(policy) to that policy's
+stepper.  An entry counts only when its stepper holds that very policy: ids
+are reused once an object is freed, and a pickled cache (a pool worker's
+copy) arrives keyed by the sender's ids.  Building the rows runs validate_mdp
+and building a stepper runs validate_policy; either raises ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +49,7 @@ import numbers
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +82,9 @@ class FiniteMdp:
     reward_values / reward_probs have shape (S, A, S, V): support points in
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
     special case, see :func:`deterministic_reward`.  Instances are treated
-    as immutable after construction; the sampler caches lookup tables on
-    the instance, and dataclasses.replace starts the copy without them.
+    as immutable after construction; the sampler caches its rows and one
+    stepper per expert on the instance, and dataclasses.replace starts the
+    copy without them.
     """
 
     n_states: int
@@ -75,7 +95,8 @@ class FiniteMdp:
     reward_probs: np.ndarray        # (S, A, S, V)
     observation: np.ndarray         # (S, Y)
     initial_dist: np.ndarray        # (S,)
-    _tables: object = field(default=None, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def mean_reward(self) -> np.ndarray:
         """Expected reward per (s, a, s'), shape (S, A, S)."""
@@ -88,7 +109,6 @@ class ExpertPolicy:
 
     policy: np.ndarray
     expert_id: int = 0
-    _tables: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -206,8 +226,8 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _cdf(probs: np.ndarray) -> list:
-    """Cumulative rows over the last axis, as nested lists for bisect_right.
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative rows over the last axis, to draw from by bisect_right.
 
     bisect_right(row, u) is the first index whose cumulative mass exceeds u.
     An index with zero mass repeats the entry before it, so it can only be
@@ -221,37 +241,70 @@ def _cdf(probs: np.ndarray) -> list:
     width = probs.shape[-1]
     last = width - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
     cdf[np.arange(width) >= last[..., None]] = 1.0
-    return cdf.tolist()
+    return cdf
 
 
-class _Tables:
-    """Cumulative-row lookup tables for one MDP (built once, cached)."""
+def _compact(probs: np.ndarray, items: list) -> list:
+    """(cumulative mass, items) of each row of probs, on its positive
+    entries only."""
+    keep = (probs > 0).tolist()
+    return [(cum, xs) if all(ks) else ([c for c, k in zip(cum, ks) if k],
+                                       [x for x, k in zip(xs, ks) if k])
+            for cum, xs, ks in zip(_cdf(probs).tolist(), items, keep)]
 
-    __slots__ = ("cdf", "det_reward", "rmean", "rvals", "rcdf", "identity_obs",
-                 "obs_cdf")
 
-    def __init__(self, mdp: FiniteMdp):
-        self.cdf = _cdf(mdp.transition)
-        det = self.det_reward = mdp.reward_values.shape[-1] == 1
-        self.rmean = mdp.reward_values[..., 0].tolist() if det else None
-        self.rvals = None if det else mdp.reward_values.tolist()
-        self.rcdf = None if det else _cdf(mdp.reward_probs)
+def _mdp_rows(mdp: FiniteMdp) -> list:
+    """rows[s][a] = (a, cumulative mass, next states, reward rows), where a
+    reward row is (cumulative mass, values)."""
+    bad = validate_mdp(mdp)
+    if bad:
+        raise ValueError("invalid MDP: " + "; ".join(bad))
+    P = mdp.transition
+    idx = np.nonzero(P > 0)
+    rows = [[(a, [], [], []) for a in range(mdp.n_actions)]
+            for _ in range(mdp.n_states)]
+    rewards = _compact(mdp.reward_probs[idx], mdp.reward_values[idx].tolist())
+    for s, a, j, c, r in zip(*(i.tolist() for i in idx),
+                             _cdf(P)[idx].tolist(), rewards):
+        _, cum, nxt, rew = rows[s][a]
+        cum.append(c)
+        nxt.append(j)
+        rew.append(r)
+    return rows
+
+
+class _Stepper:
+    """One expert's sampler on one MDP.  rows[s] is (cumulative mass, MDP
+    rows) over the actions taken in s; with a deterministic policy and
+    deterministic rewards, flat[s] is (cumulative mass, next states,
+    rewards) of the one action."""
+
+    __slots__ = ("policy", "stoch_pol", "stoch_rew", "identity_obs", "rows",
+                 "flat")
+
+    def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy, mdp_rows: list):
+        bad = validate_policy(policy, mdp)
+        if bad:
+            raise ValueError("invalid policy: " + "; ".join(bad))
+        pi = policy.policy
+        self.policy = policy
+        # one-hot detection is exact on purpose: a row with max 1.0 has no
+        # other mass, so argmax is the whole distribution
+        self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
+        self.stoch_rew = mdp.reward_values.shape[-1] > 1
         self.identity_obs = (mdp.n_obs == mdp.n_states
                              and np.array_equal(mdp.observation,
                                                 np.eye(mdp.n_states)))
-        self.obs_cdf = None if self.identity_obs else _cdf(mdp.observation)
-
-
-class _PolicyTables:
-    __slots__ = ("deterministic", "act", "cdf")
-
-    def __init__(self, policy: ExpertPolicy):
-        pi = policy.policy
-        # one-hot detection is exact on purpose: a row with max 1.0 has no
-        # other mass, so argmax is the whole distribution
-        self.deterministic = bool((pi.max(axis=1) == 1.0).all())
-        self.act = pi.argmax(axis=1).tolist() if self.deterministic else None
-        self.cdf = None if self.deterministic else _cdf(pi)
+        self.flat = None
+        if self.stoch_pol:
+            self.rows = _compact(pi, mdp_rows)
+            return
+        taken = [row[a] for row, a in zip(mdp_rows,
+                                          pi.argmax(axis=1).tolist())]
+        self.rows = [([1.0], [row]) for row in taken]
+        if not self.stoch_rew:
+            self.flat = [(cum, nxt, [vals[0] for _, vals in rew])
+                         for _, cum, nxt, rew in taken]
 
 
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
@@ -261,55 +314,69 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
     avg_reward is the per-step mean, the R_k fed to the selector.  With
     record=False the trajectory is None but the consumed RNG stream is
     identical, so logs with and without trajectories replay bit for bit.
+    An MDP or policy that fails validation raises ValueError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 <= s0 < mdp.n_states:
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
-    if mdp._tables is None:
-        mdp._tables = _Tables(mdp)
-    if policy._tables is None:
-        policy._tables = _PolicyTables(policy)
-    tabs, ptabs = mdp._tables, policy._tables
+    cache = mdp._tables
+    stepper = cache.get(id(policy))
+    if stepper is None or stepper.policy is not policy:
+        if None not in cache:
+            cache[None] = _mdp_rows(mdp)
+        stepper = cache[id(policy)] = _Stepper(mdp, policy, cache[None])
 
-    stoch_pol = not ptabs.deterministic
-    stoch_rew = not tabs.det_reward
-    cdf, act, rmean = tabs.cdf, ptabs.act, tabs.rmean
     total = 0.0
     s = s0
-    if not (record or stoch_pol or stoch_rew):
+    if not record and stepper.flat is not None:
         # fast path: deterministic policy and rewards, one uniform a step
+        rows = stepper.flat
         for x in rng.random(T).tolist():
-            a = act[s]
-            j = bisect_right(cdf[s][a], x)
-            total += rmean[s][a][j]
-            s = j
+            cum, nxt, rew = rows[s]
+            k = bisect_right(cum, x)
+            total += rew[k]
+            s = nxt[k]
     else:
-        # one row of draws a step: (action if the policy is stochastic,
-        # transition, reward if the reward is stochastic); with neither, the
-        # (T, 1) block is the same stream as the fast path's (T,) block
-        pol_cdf, rvals, rcdf = ptabs.cdf, tabs.rvals, tabs.rcdf
-        states, actions, rewards = [s0], [], []
-        for row in rng.random((T, 1 + stoch_pol + stoch_rew)).tolist():
-            a = bisect_right(pol_cdf[s], row[0]) if stoch_pol else act[s]
-            j = bisect_right(cdf[s][a], row[stoch_pol])
-            if stoch_rew:
-                r = rvals[s][a][j][bisect_right(rcdf[s][a][j], row[-1])]
-            else:
-                r = rmean[s][a][j]
-            total += r
-            states.append(j)
-            actions.append(a)
-            rewards.append(r)
-            s = j
+        # one (action, transition, reward) draw a step; a deterministic
+        # source reads 0.0, which picks the one entry of its row [1.0]
+        stoch_pol, stoch_rew = stepper.stoch_pol, stepper.stoch_rew
+        it = iter(rng.random(T * (1 + stoch_pol + stoch_rew)).tolist())
+        draws = zip(it if stoch_pol else repeat(0.0), it,
+                    it if stoch_rew else repeat(0.0))
+        rows = stepper.rows
+        if not record:
+            for xa, xt, xr in draws:
+                acum, arows = rows[s]
+                _, cum, nxt, rew = arows[bisect_right(acum, xa)]
+                k = bisect_right(cum, xt)
+                rcum, rvals = rew[k]
+                total += rvals[bisect_right(rcum, xr)]
+                s = nxt[k]
+        else:
+            states, actions, rewards = [s0], [], []
+            for xa, xt, xr in draws:
+                acum, arows = rows[s]
+                a, cum, nxt, rew = arows[bisect_right(acum, xa)]
+                k = bisect_right(cum, xt)
+                rcum, rvals = rew[k]
+                r = rvals[bisect_right(rcum, xr)]
+                total += r
+                s = nxt[k]
+                states.append(s)
+                actions.append(a)
+                rewards.append(r)
 
     # drawn after the step loop, and drawn whether or not we record, so the
     # state stream is independent of both O and the record flag
-    ou = None if tabs.identity_obs else rng.random(T).tolist()
+    ou = None if stepper.identity_obs else rng.random(T)
     if not record:
         return total / T, s, None
-    ys = states[:-1] if ou is None else [
-        bisect_right(tabs.obs_cdf[st], x) for st, x in zip(states, ou)]
+    if ou is None:
+        ys = states[:-1]
+    else:
+        obs_cdf = _cdf(mdp.observation).tolist()
+        ys = [bisect_right(obs_cdf[y], x) for y, x in zip(states, ou.tolist())]
     return total / T, s, Trajectory(
         states=np.asarray(states), actions=np.asarray(actions),
         rewards=np.asarray(rewards), observations=np.asarray(ys))
@@ -320,7 +387,7 @@ def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
     mu0 = mdp.initial_dist
     if mu0.max() == 1.0:
         return int(mu0.argmax())
-    return bisect_right(_cdf(mu0), float(rng.random()))
+    return bisect_right(_cdf(mu0).tolist(), float(rng.random()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mdpbandit.bandit import (
     ucb_selector,
 )
 from mdpbandit.chains import MixingProfile
-from mdpbandit.mdp import run_expert
+from mdpbandit.mdp import ExpertPolicy, run_expert
 
 from test_mdp import det_policy, make_mdp, one_state_mdp
 
@@ -378,6 +378,16 @@ def test_run_mab_argument_validation():
         run_mab(mdp, [], [], HorizonSchedule(4, 0.0), iterations=1)
     with pytest.raises(ValueError):
         run_mab(mdp, experts, None, HorizonSchedule(4, 0.0), iterations=1)
+
+
+def test_run_mab_rejects_a_policy_that_does_not_fit_the_mdp(bench):
+    # a 25 x 2 policy does not fit the 4-action grid
+    narrow = ExpertPolicy(policy=np.full((25, 2), 0.5))
+    with pytest.raises(ValueError, match=r"invalid policy: policy shape "
+                       r"\(25, 2\) does not match \(25, 4\)"):
+        run_mab(bench.mdp, [narrow], None, HorizonSchedule(4, 0.0),
+                selector=lambda state, schedule: 0, iterations=3,
+                rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [-1, 2])

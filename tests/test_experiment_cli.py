@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -282,6 +283,40 @@ def test_run_spec_parallel_workers_match_serial(tmp_path):
                  "reward_time.csv"):
         assert (tmp_path / "serial" / name).read_bytes() \
             == (tmp_path / "par" / name).read_bytes()
+
+
+@st.composite
+def small_specs(draw, base):
+    """Short runs on the built-in grid: 2-3 seeds, T0 2-8, c 0 or 0.1,
+    5-60 iterations, and no event or one action permutation."""
+    iterations = draw(st.integers(5, 60))
+    events = draw(st.lists(st.fixed_dictionaries({
+        "iteration": st.integers(1, iterations),
+        "permutation": st.permutations(range(4))}), max_size=1))
+    return ExperimentSpec(
+        label="pool", t0=draw(st.integers(2, 8)),
+        c=draw(st.sampled_from([0.0, 0.1])), iterations=iterations,
+        seeds=draw(st.lists(st.integers(0, 2**32 - 1), min_size=2,
+                            max_size=3, unique=True)),
+        out=str(base / "serial"), events=events)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.data())
+def test_two_workers_write_the_serial_files_byte_for_byte(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = data.draw(small_specs(Path(tmp)))
+        pooled = replace(spec, out=str(Path(tmp) / "pool"))
+        with warnings.catch_warnings():
+            # events and small gaps blank the bound with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            run_spec(spec)
+            run_spec(pooled, workers=2)
+        names = sorted(p.name for p in Path(spec.out).iterdir())
+        assert names == sorted(p.name for p in Path(pooled.out).iterdir())
+        for name in names:
+            assert (Path(spec.out) / name).read_bytes() \
+                == (Path(pooled.out) / name).read_bytes(), name
 
 
 def test_run_spec_gap_failure_blanks_the_bound(tmp_path):

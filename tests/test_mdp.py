@@ -2,7 +2,9 @@
 
 import json
 import math
+import pickle
 import tempfile
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -364,6 +366,214 @@ def test_record_flag_never_changes_the_rollout(case):
     assert len(traj.actions) == len(traj.rewards) \
         == len(traj.observations) == T
     assert abs(traj.rewards.mean() - avg_on) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the support-compact sampler against a full-row reference
+
+
+def full_cdf(probs):
+    """Cumulative rows over the last axis; the last positive entry of each
+    row and every entry after it read exactly 1.0."""
+    cdf = np.cumsum(probs, axis=-1)
+    for idx in np.ndindex(probs.shape[:-1]):
+        cdf[idx][np.flatnonzero(probs[idx] > 0)[-1]:] = 1.0
+    return cdf
+
+
+def reference_run(mdp, policy, s0, T, rng, record):
+    """run_expert over full rows: one bisect over every entry of a row, zero
+    mass included.  Returns (avg, final state, (states, actions, rewards,
+    observations) or None)."""
+    cdf = full_cdf(mdp.transition).tolist()
+    rvals = mdp.reward_values.tolist()
+    rcdf = full_cdf(mdp.reward_probs).tolist()
+    pi = policy.policy
+    stoch_pol = not (pi.max(axis=1) == 1.0).all()
+    stoch_rew = mdp.reward_values.shape[-1] > 1
+    act = pi.argmax(axis=1).tolist()
+    pol_cdf = full_cdf(pi).tolist()
+    total, s = 0.0, s0
+    states, actions, rewards = [s0], [], []
+    if not (record or stoch_pol or stoch_rew):
+        for x in rng.random(T).tolist():
+            a = act[s]
+            j = bisect_right(cdf[s][a], x)
+            total += rvals[s][a][j][0]
+            s = j
+    else:
+        for row in rng.random((T, 1 + stoch_pol + stoch_rew)).tolist():
+            a = bisect_right(pol_cdf[s], row[0]) if stoch_pol else act[s]
+            j = bisect_right(cdf[s][a], row[stoch_pol])
+            v = bisect_right(rcdf[s][a][j], row[-1]) if stoch_rew else 0
+            r = rvals[s][a][j][v]
+            total += r
+            states.append(j)
+            actions.append(a)
+            rewards.append(r)
+            s = j
+    identity = mdp.n_obs == mdp.n_states \
+        and np.array_equal(mdp.observation, np.eye(mdp.n_states))
+    ou = None if identity else rng.random(T).tolist()
+    if not record:
+        return total / T, s, None
+    obs_cdf = full_cdf(mdp.observation).tolist()
+    ys = states[:-1] if ou is None else [
+        bisect_right(obs_cdf[y], x) for y, x in zip(states, ou)]
+    return total / T, s, (states, actions, rewards, ys)
+
+
+def sparse_rows(g, shape, tenths=False):
+    """Distributions over the last axis with exact zeros before, between
+    and after each row's support.  With tenths, about half the rows are ten
+    0.1s spread over the row, whose float sum 0.9999999999999999 stops
+    short of 1."""
+    w = g.random(shape) * (g.random(shape) < 0.5)
+    w += (w.sum(axis=-1, keepdims=True) == 0) \
+        * (np.arange(shape[-1]) == g.integers(shape[-1]))
+    w /= w.sum(axis=-1, keepdims=True)
+    if tenths:
+        for row in w.reshape(-1, shape[-1]):
+            if g.random() < 0.5:
+                row[:] = 0.0
+                row[g.choice(shape[-1], 10, replace=False)] = 0.1
+    return w
+
+
+class BoundaryDraws:
+    """Generator stand-in whose draws come from pool: values where a
+    bisect over full rows and one over compact rows could part."""
+
+    def __init__(self, pool, seed):
+        self.pool = pool
+        self.g = np.random.default_rng(seed)
+        self.used = 0
+
+    def random(self, size):
+        n = math.prod(size) if isinstance(size, tuple) else size
+        self.used += n
+        return self.pool[self.g.integers(len(self.pool), size=n)].reshape(size)
+
+
+def stream_state(rng):
+    if isinstance(rng, BoundaryDraws):
+        return rng.used, rng.g.bit_generator.state
+    return rng.bit_generator.state
+
+
+@st.composite
+def sampler_cases(draw):
+    """(mdp, experts, s0, pulls, rng pair): S 1-6, A 1-3; rewards with one,
+    two or twelve support points (twelve allows rows of ten 0.1s);
+    deterministic and stochastic experts; identity or blurred observations;
+    2-6 chained pulls of T 1-70, each recording or not.  The rng pair is two
+    Generators on one seed, or two BoundaryDraws over 0, the largest double
+    below 1, and every raw and pinned cumulative value of the MDP's and the
+    experts' rows."""
+    S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    V = draw(st.sampled_from([1, 2, 12]))
+    blurred = draw(st.booleans())
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mdp = FiniteMdp(
+        n_states=S, n_actions=A, n_obs=S,
+        transition=sparse_rows(g, (S, A, S)),
+        reward_values=g.random((S, A, S, V)),
+        reward_probs=sparse_rows(g, (S, A, S, V), tenths=V >= 10),
+        observation=sparse_rows(g, (S, S)) if blurred else np.eye(S),
+        initial_dist=np.full(S, 1.0 / S))
+    experts = [ExpertPolicy(policy=sparse_rows(g, (S, A))
+                            if draw(st.booleans())
+                            else np.eye(A)[g.integers(0, A, size=S)])
+               for _ in range(draw(st.integers(1, 3)))]
+    assert validate_mdp(mdp) == []
+    pulls = draw(st.lists(st.tuples(st.integers(0, len(experts) - 1),
+                                    st.integers(1, 70), st.booleans()),
+                          min_size=2, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        kernels = [mdp.transition, mdp.reward_probs, mdp.observation] \
+            + [e.policy for e in experts]
+        values = np.concatenate(
+            [f(k).ravel() for k in kernels for f in (full_cdf, np.cumsum)]
+            + [[0.0, np.nextafter(1.0, 0.0)]])
+        pool = np.unique(values[(values >= 0.0) & (values < 1.0)])
+        rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
+    else:
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    return mdp, experts, draw(st.integers(0, S - 1)), pulls, rngs
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sampler_cases())
+def test_compact_rows_sample_what_full_rows_sample(case):
+    mdp, experts, s0, pulls, (rng, ref_rng) = case
+    s = ref_s = s0
+    for e, T, record in pulls:
+        avg, s, traj = run_expert(mdp, experts[e], s, T, rng, record)
+        ref_avg, ref_s, ref = reference_run(mdp, experts[e], ref_s, T,
+                                            ref_rng, record)
+        assert (avg, s) == (ref_avg, ref_s)
+        assert stream_state(rng) == stream_state(ref_rng)
+        if record:
+            assert [traj.states.tolist(), traj.actions.tolist(),
+                    traj.rewards.tolist(), traj.observations.tolist()] \
+                == list(ref)
+
+
+def test_a_pickled_warm_cache_samples_the_same_stream():
+    # a pool worker receives the MDP together with its experts and the
+    # sampler cache built in the parent, keyed by the parent's ids
+    g = np.random.default_rng(21)
+    mdp = replace(random_mdp(g), observation=g.dirichlet(np.ones(4), size=4))
+    experts = [ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4)),
+               det_policy([0, 2, 1, 1], 3)]
+    for expert in experts:
+        run_expert(mdp, expert, 0, 1, np.random.default_rng(0), record=False)
+    copy, copied = pickle.loads(pickle.dumps((mdp, experts)))
+    assert len(copy._tables) == len(mdp._tables) == 1 + len(experts)
+    rng, copy_rng = np.random.default_rng(8), np.random.default_rng(8)
+    s = copy_s = 0
+    for k in range(12):
+        avg, s, _ = run_expert(mdp, experts[k % 2], s, 1 + 5 * k, rng,
+                               record=False)
+        copy_avg, copy_s, _ = run_expert(copy, copied[k % 2], copy_s,
+                                         1 + 5 * k, copy_rng, record=False)
+        assert (avg, s) == (copy_avg, copy_s)
+        assert rng.bit_generator.state == copy_rng.bit_generator.state
+
+
+def test_a_cache_entry_counts_only_for_its_own_policy():
+    # ids are reused once an object is freed, and a pickled cache keeps the
+    # sender's ids: an entry found under a policy's id but built for
+    # another policy must be rebuilt
+    mdp, swap, stay = swap_or_stay()
+    rng = np.random.default_rng(0)
+    assert run_expert(mdp, swap, 0, 2, rng, record=False)[0] == 0.5
+    mdp._tables[id(stay)] = mdp._tables[id(swap)]
+    assert run_expert(mdp, stay, 0, 2, rng, record=False)[0] == 0.0
+
+
+def test_run_expert_rejects_an_invalid_policy():
+    mdp = two_state_cycle()
+    half = ExpertPolicy(policy=np.array([[0.5], [0.5]]))
+    with pytest.raises(ValueError, match=r"invalid policy: policy row sum "
+                       r"0\.5 at s=0, expected 1; policy row sum 0\.5 at s=1"):
+        run_expert(mdp, half, 0, 4, np.random.default_rng(0), record=False)
+    wide = ExpertPolicy(policy=np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=r"invalid policy: policy shape "
+                       r"\(2, 2\) does not match \(2, 1\)"):
+        run_expert(mdp, wide, 0, 4, np.random.default_rng(0))
+
+
+def test_run_expert_rejects_an_invalid_mdp():
+    mdp = two_state_cycle()
+    mdp.transition[0, 0] = [0.5, 0.4]
+    mdp.reward_values[1, 0, 0, 0] = 1.5
+    with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
+                       r"0\.9 at \(s=0, a=0\), expected 1; reward support "
+                       r"value 1\.5 outside"):
+        run_expert(mdp, det_policy([0, 0], 1), 0, 4,
+                   np.random.default_rng(0), record=False)
 
 
 def test_run_expert_transition_frequencies_match_row():
