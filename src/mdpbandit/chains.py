@@ -108,12 +108,20 @@ def check_ergodicity(chain: InducedChain) -> dict:
     return {"irreducible": bool(roots.size == 1), "aperiodic": aperiodic}
 
 
-def _require_ergodic(chain: InducedChain) -> None:
+class _ErgodicChain(InducedChain):
+    """A chain _require_ergodic has already checked; it is not checked again."""
+
+
+def _require_ergodic(chain: InducedChain) -> InducedChain:
+    """The chain, marked as checked, or NotErgodicError."""
+    if isinstance(chain, _ErgodicChain):
+        return chain
     flags = check_ergodicity(chain)
     if not (flags["irreducible"] and flags["aperiodic"]):
         raise NotErgodicError(
             f"chain is not ergodic: irreducible={flags['irreducible']}, "
             f"aperiodic={flags['aperiodic']}")
+    return _ErgodicChain(chain.kernel)
 
 
 def stationary_distribution(chain: InducedChain) -> np.ndarray:
@@ -172,12 +180,19 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
     The scan runs in blocks of B steps.  P^1..P^B are computed once, side
     by side, so the block after step t is one product P^t [P^1 | ... | P^B]
     and its B distances one reduction.  d_t never grows with t (each row of
-    P^(t+1) - 1 mu is a convex combination of the rows of P^t - 1 mu), so
-    every ratio in the block (t, t + n] is at most d_t / alpha^(t+n).  When
-    that is no more than the supremum so far, the block cannot raise it and
-    is skipped: P^t advances by one product with P^B.  The first block is
-    the step-by-step scan's own P, P P, ...; later blocks agree with it to
-    round-off.
+    P^(t+1) - 1 mu is a convex combination of the rows of P^t - 1 mu; see
+    Levin, Peres and Wilmer, Markov Chains and Mixing Times, ch. 4), so
+    every ratio in a stretch (t, t + L] is at most d_t / alpha^(t+L).  When
+    that is no more than the supremum so far, and t + L is within the
+    horizon, nothing in the stretch can raise the supremum and it is
+    skipped.  A block start t that passes this test for its own block
+    jumps L = B 2^j steps, the largest j that passes it, with one product
+    by P^(B 2^j); P^B, P^2B, P^4B, ... are squared when first needed and
+    kept for the rest of the scan.  A jump passes over only blocks that
+    would each have passed the test, so block starts stay multiples of B,
+    a block that fails the test is scanned, and the 1e-8 stop is checked
+    at every landing point.  The first block is the step-by-step scan's own
+    P, P P, ...; later blocks agree with it to round-off.
     """
     _require_ergodic(chain)
     if alpha <= 1e-12:
@@ -200,14 +215,23 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
     M = np.eye(S)     # P^t at the block start t
     d_t = 2.0         # d_0 is at most 2
     sup = 0.0
+    jumps = [PB]      # P^B, P^2B, P^4B, ..., squared when first needed
     # the scan stops at the first d_t <= 1e-8: past it d_t / alpha^t divides
     # the round-off in P^t by a vanishing alpha^t, so the ratio measures
     # arithmetic, not mixing; the tail it leaves out is under 1e-8
     # absolute, below every tolerance the bound curves use
-    for t in range(0, horizon, B):
+    t = 0
+    while t < horizon:
         n = min(B, horizon - t)
         if d_t <= sup * alph[t + n - 1]:
-            M = M @ PB
+            j = 0
+            while (t + (B << (j + 1)) <= horizon
+                   and d_t <= sup * alph[t + (B << (j + 1)) - 1]):
+                j += 1
+                if j == len(jumps):
+                    jumps.append(jumps[-1] @ jumps[-1])
+            M = M @ jumps[j]
+            t += B << j
             d_t = float(np.abs(M - stationary).sum(axis=1).max())
             if d_t <= 1e-8:
                 break
@@ -224,6 +248,7 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
         if floor.size:
             break
         d_t = float(d[-1])
+        t += n
     C = max(sup * (1.0 + 1e-9), 2.0)
     return C, C / (1.0 - alpha)
 
@@ -277,8 +302,9 @@ def with_gaps(profiles: list[MixingProfile]) -> tuple[int, list[MixingProfile]]:
 
 def profile_expert(mdp, policy) -> MixingProfile:
     """Full certified profile of one expert on one MDP (gap left at 0),
-    with the mixing scan run over default_horizon(alpha) steps."""
-    chain = induced_chain(mdp, policy)
+    with the mixing scan run over default_horizon(alpha) steps.  The chain
+    is checked for ergodicity once, not once per step below."""
+    chain = _require_ergodic(induced_chain(mdp, policy))
     mu = stationary_distribution(chain)
     alpha = slem(chain)
     C, K = mixing_constants(chain, mu, alpha, default_horizon(alpha))

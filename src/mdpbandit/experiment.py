@@ -82,8 +82,8 @@ class ExperimentSpec:
         _check(_is_int(self.iterations) and self.iterations >= 1,
                "iterations must be an integer >= 1", self.iterations)
         _check(isinstance(self.seeds, list) and len(self.seeds) > 0
-               and all(_is_int(seed) for seed in self.seeds),
-               "seeds must be a non-empty list of integers", self.seeds)
+               and all(_is_int(seed) and seed >= 0 for seed in self.seeds),
+               "seeds must be a non-empty list of integers >= 0", self.seeds)
         _check(_is_real(self.c) and math.isfinite(self.c) and self.c >= 0,
                "c must be a finite number >= 0", self.c)
         _check(_is_real(self.bound_k) and math.isfinite(self.bound_k)
@@ -287,6 +287,10 @@ def sweep_spec(base: ExperimentSpec, t0_values, workers: int = 1) -> dict:
         raise ValueError("empty T0 list")
     if any(v < 1 for v in t0_values):
         raise ValueError(f"T0 values must be positive, got {t0_values}")
+    # a repeated T0 would run twice into the same t0_<v> directory and
+    # write its rows of the combined files twice
+    if len(set(t0_values)) != len(t0_values):
+        raise ValueError(f"duplicate T0 values in {t0_values}")
     summaries = []
     for v in t0_values:
         sub = replace(base, t0=v, label=f"{base.label}-t0-{v}",

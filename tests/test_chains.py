@@ -385,6 +385,70 @@ def test_bench_certificates_equal_the_stepwise_scan(bench, certified):
         assert (prof.mix_const, prof.k_const) == (C, K)
 
 
+def test_blocks_are_scanned_after_a_jump():
+    # states 0 and 1 swap slowly (SLEM 0.99); state 2 moves to the rarely
+    # visited state 3, which splits evenly between 0 and 1.  d_1 / alpha
+    # from state 2 is near 2 / alpha, and below the SLEM the slow mode's
+    # ratio, about (0.99 / alpha)^t, dips under it and climbs past it at
+    # t = 24, so the scan skips by jumps and then scans to the horizon
+    rows = [[0.994, 0.004, 0.002, 0.0], [0.004, 0.994, 0.002, 0.0],
+            [0.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.0, 0.0]]
+    c = chain(rows)
+    mu = stationary_distribution(c)
+    alpha, steps = 0.96, 2
+    # a jump from t = B as long as the horizon allows lands on the horizon
+    horizon = steps * (1 + 2 ** 7)
+    C_ref, _, d = stepwise_mixing_constants(c, mu, alpha, horizon)
+    ratios = d / alpha ** np.arange(1, len(d) + 1)
+    first = ratios[:steps].max()
+    # from t = B the scan jumps at least 4 B steps (two doublings), and the
+    # supremum lies past that jump, in a block the scan has to evaluate
+    assert d[steps - 1] <= first * alpha ** (5 * steps)
+    t_sup = int(ratios.argmax()) + 1
+    assert t_sup > 5 * steps and ratios.max() > 2 * first
+    with block_steps(steps, len(rows)):
+        C, K = mixing_constants(c, mu, alpha, horizon)
+    assert abs(C - C_ref) <= 1e-12 * C_ref
+    assert K == C / (1.0 - alpha)
+
+
+def products_after_the_first_block(c, mu, alpha, horizon):
+    """Matrix products mixing_constants takes past its first block.  The
+    kernel goes in as an array whose products return arrays of the same
+    kind; a product is counted unless the kernel itself is an operand
+    (those build P^2..P^B).  The first block's own product, of the identity
+    and the stacked powers, has plain operands and is not counted."""
+    count = [0]
+
+    class Derived(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(xs):
+                return tuple(x.view(np.ndarray) if isinstance(x, Derived)
+                             else x for x in xs)
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            if ufunc is not np.matmul:
+                return result
+            if not any(x is kernel for x in inputs):
+                count[0] += 1
+            return result.view(Derived)
+
+    kernel = c.kernel.view(Derived)
+    mixing_constants(InducedChain(kernel=kernel), mu, alpha, horizon)
+    return count[0]
+
+
+def test_bench_expert_2_scan_takes_few_products_past_its_first_block(bench):
+    # horizon 128,560 steps, 64 per block: skipping its 2,008 later blocks
+    # one at a time took 2,008 products; jumps over doubling stretches take
+    # a few dozen, squarings included
+    c = induced_chain(bench.mdp, bench.experts[2])
+    alpha = slem(c)
+    assert products_after_the_first_block(
+        c, stationary_distribution(c), alpha, default_horizon(alpha)) <= 40
+
+
 # ---------------------------------------------------------------------------
 # steady-state and finite-horizon rewards
 
@@ -531,3 +595,19 @@ def test_profile_expert_averaged_bound_over_horizons():
             err = abs(prof.steady_reward
                       - expected_avg_reward_from_state(mdp, expert, s0, T))
             assert err <= cap + 1e-12
+
+
+def test_profile_expert_checks_ergodicity_once():
+    # the stationary law, the SLEM and the mixing scan each check a chain
+    # they are handed directly; within profile_expert one check covers all
+    mdp = two_state_mdp()
+    with mock.patch.object(chains, "check_ergodicity",
+                           wraps=check_ergodicity) as check:
+        profile_expert(mdp, det_policy([0, 0], 1))
+    assert check.call_count == 1
+    P = np.zeros((2, 1, 2))
+    P[:, 0] = np.eye(2)
+    with pytest.raises(NotErgodicError):
+        profile_expert(make_mdp(P, np.zeros((2, 1, 2))), det_policy([0, 0], 1))
+    with pytest.raises(NotErgodicError):
+        mixing_constants(chain(np.eye(2)), np.full(2, 0.5), 0.5, 260)

@@ -79,7 +79,7 @@ def test_spec_round_trip(tmp_path):
 def specs(draw, base):
     """Valid specs with absolute paths (load_spec resolves relative ones)
     that name no files, so that loading needs nothing on disk."""
-    ints = st.integers(-2**63, 2**63 - 1)
+    seeds = st.integers(0, 2**63 - 1)
     events = st.fixed_dictionaries({"iteration": st.integers(1, 10**6),
                                     "permutation": st.permutations(range(4))})
     # quotes, escapes, non-ASCII and a lone surrogate in the label
@@ -87,7 +87,7 @@ def specs(draw, base):
         label=draw(st.text("a é\u2603\"\\\n\ud800")),
         t0=draw(st.integers(1, 10**6)), c=draw(st.floats(0.0, 1e6)),
         iterations=draw(st.integers(1, 10**9)),
-        seeds=draw(st.lists(ints, min_size=1, max_size=5, unique=True)),
+        seeds=draw(st.lists(seeds, min_size=1, max_size=5, unique=True)),
         out=str(base / draw(st.text("abc_", min_size=1, max_size=8))),
         events=draw(st.lists(events, max_size=3)),
         bound_k=draw(st.floats(0.0, 1e6, exclude_min=True)))
@@ -399,6 +399,21 @@ def test_sweep_rejects_bad_t0_lists(tmp_path):
         sweep_spec(base, [])
     with pytest.raises(ValueError, match="positive"):
         sweep_spec(base, [4, 0])
+    with pytest.raises(ValueError, match="duplicate T0"):
+        sweep_spec(replace(base, out=str(tmp_path / "dup")), [8, 8])
+    assert not (tmp_path / "dup").exists()
+
+
+def test_duplicate_t0_values_in_a_sweep_exit_one(tmp_path):
+    # a repeated T0 would run twice into the same t0_<v> directory and write
+    # its rows of combined.csv twice
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    out = tmp_path / "sweep"
+    code, stdout, err = run_cli(["sweep", "--config",
+                                 str(tmp_path / "spec.json"), "--t0", "8,8",
+                                 "--out", str(out)])
+    assert code == 1 and "duplicate T0 values" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_sweep_regret_rate_decays_at_every_t0(sweep_runs):
@@ -598,6 +613,8 @@ MALFORMED_FIELDS = {
     "seeds-nested": ("seeds", [[0]]),
     "seeds-bool-entry": ("seeds", [False]),
     "seeds-not-a-list": ("seeds", 3),
+    # unchecked, numpy rejects it only when that seed's run starts
+    "seeds-negative-entry": ("seeds", [-1]),
     "c-string": ("c", "x"),
     "c-negative": ("c", -0.1),
     "c-infinite": ("c", float("inf")),
@@ -658,6 +675,19 @@ def test_duplicate_seed_overrides_exit_one(tmp_path):
                                 "--out", str(out)])
         assert code == 1 and "duplicate seeds" in err
         assert not out.exists()
+
+
+def test_negative_seed_overrides_exit_one(tmp_path):
+    # unchecked, run --seeds 5,-1 wrote seed 5's files before numpy
+    # rejected -1
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    for command in ("run", "sweep"):
+        out = tmp_path / f"{command}_override"
+        code, stdout, err = run_cli([command, "--config",
+                                     str(tmp_path / "spec.json"), "--seeds",
+                                     "5,-1", "--out", str(out)])
+        assert code == 1 and "seeds must be" in err and "-1" in err
+        assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
