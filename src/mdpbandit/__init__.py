@@ -17,20 +17,17 @@ the choice.  Submodules:
 from .bandit import BanditState, HorizonSchedule, RunLog, confidence_bound, \
     horizon, run_mab, select_ucb, ucb_selector
 from .chains import InducedChain, MixingProfile, NotErgodicError, \
-    check_ergodicity, expected_avg_reward_from_state, gaps, induced_chain, \
-    mixing_constants, profile_expert, slem, stationary_distribution, \
-    steady_state_reward, with_gaps
+    check_ergodicity, gaps, induced_chain, mixing_constants, profile_expert, \
+    slem, stationary_distribution, steady_state_reward, with_gaps
 from .experiment import ExperimentSpec, load_spec, nominal_profiles, \
     run_spec, save_spec, sweep_spec
 from .gridworld import GridworldConfig, LayoutError, benchmark_config, \
     build_experts, build_gridworld, canonical_experiments, format_layout, \
     parse_layout, permute_actions, train_expert
 from .mdp import ExpertPolicy, FiniteMdp, Trajectory, deterministic_reward, \
-    load_mdp, load_policy, reduce_observation_expert, run_expert, save_mdp, \
-    save_policy, validate_mdp
+    load_mdp, load_policy, run_expert, save_mdp, save_policy, validate_mdp
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
-    cumulative_regret, cumulative_reward_time, decomposition_bound, \
-    decomposition_terms, harmonic_sum_check, log_linear_fit, \
-    regret_from_rewards, ucb_regret_bound, ucb_regret_bounds
+    cumulative_regret, cumulative_reward_time, decomposition_terms, \
+    regret_from_rewards, ucb_regret_bounds
 
 __version__ = "0.1.0"

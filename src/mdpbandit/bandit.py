@@ -52,7 +52,7 @@ class HorizonSchedule:
 def horizon(schedule: HorizonSchedule, n: int) -> int:
     # round() is banker's rounding at .5; deterministic, and any rounding
     # stays within half a step of T0 + slope n, which is all the closed-form
-    # bound in regret.harmonic_sum_check assumes
+    # bound in regret._harmonic_bound assumes
     return max(schedule.t0, round(schedule.t0 + schedule.slope * n))
 
 

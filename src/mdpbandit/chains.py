@@ -25,7 +25,6 @@ __all__ = [
     "slem",
     "mixing_constants",
     "steady_state_reward",
-    "expected_avg_reward_from_state",
     "gaps",
     "default_horizon",
     "profile_expert",
@@ -66,46 +65,32 @@ def induced_chain(mdp, policy) -> InducedChain:
 def check_ergodicity(chain: InducedChain) -> dict:
     """{'irreducible': bool, 'aperiodic': bool} from the positive-entry digraph.
 
-    u and v share a strongly connected component, labelled by its lowest
-    state, when each reaches the other in A | I squared (S - 1).bit_length()
-    times (exact in floats: entries stay <= S).  Periods: the gcd of
-    (level[u] + 1 - level[v]) over a component's edges u -> v, with BFS
-    levels; components with no internal edge are skipped.
+    u and v share a strongly connected component when each reaches the other
+    in A | I squared (S - 1).bit_length() times.  W keeps the edges of A
+    inside components, so its powers stay block diagonal, one block per
+    component.  A component with an internal edge is aperiodic exactly when
+    its block is primitive, and by Wielandt's bound a primitive m x m block
+    has every entry of W^k positive for all k >= (m - 1)^2 + 1, while a
+    periodic block has a zero in every power.  W is squared
+    ((S - 1)^2).bit_length() times, to a power 2^j > (S - 1)^2.  A state
+    with no edge inside its component is a component of its own without a
+    self-loop, and has no period.  Products are thresholded back to 0/1
+    after each squaring, so they stay exact in floats (entries <= S).
     """
-    A = chain.kernel > 0
     S = chain.kernel.shape[0]
+    if S == 0:
+        raise ValueError("a chain needs at least one state")
+    A = chain.kernel > 0
     R = (A | np.eye(S, dtype=bool)).astype(float)
     for _ in range((S - 1).bit_length()):
         R = (R @ R > 0).astype(float)
-    labels = ((R > 0) & (R.T > 0)).argmax(axis=1)
-    roots = np.flatnonzero(labels == np.arange(S))
-    adj = [np.flatnonzero(A[s]) for s in range(S)]
-
-    aperiodic = True
-    for comp in roots:
-        members = np.flatnonzero(labels == comp)
-        internal = [u for u in members
-                    if any(labels[v] == comp for v in adj[u])]
-        if not internal:
-            continue
-        root = int(members[0])
-        level = {root: 0}
-        queue = [root]
-        g = 0
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                v = int(v)
-                if labels[v] != comp:
-                    continue
-                if v in level:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-                else:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if g != 1:
-            aperiodic = False
-    return {"irreducible": bool(roots.size == 1), "aperiodic": aperiodic}
+    same = (R > 0) & (R.T > 0)
+    W = (A & same).astype(float)
+    on_cycle = W.any(axis=1)
+    for _ in range(((S - 1) ** 2).bit_length()):
+        W = (W @ W > 0).astype(float)
+    aperiodic = bool(((W > 0) | ~same)[on_cycle].all())
+    return {"irreducible": bool(same.all()), "aperiodic": aperiodic}
 
 
 class _ErgodicChain(InducedChain):
@@ -260,29 +245,6 @@ def steady_state_reward(mdp, policy, stationary: np.ndarray) -> float:
         raise ValueError("policy does not match MDP dimensions")
     per_state = np.einsum("sa,saj,saj->s", policy.policy, mdp.transition, r)
     return float(stationary @ per_state)
-
-
-def expected_avg_reward_from_state(mdp, policy, s0: int, T: int) -> float:
-    """Exact E[(1/T) sum of the first T rewards | s_0 = s0], no sampling.
-
-    Propagates the state law through the induced kernel and accumulates the
-    per-state one-step expected reward.
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not 0 <= s0 < mdp.n_states:
-        raise ValueError(f"invalid state index {s0}")
-    P = mdp.transition
-    r = mdp.mean_reward()
-    rho = np.einsum("sa,saj,saj->s", policy.policy, P, r)
-    kernel = induced_chain(mdp, policy).kernel
-    mu_t = np.zeros(mdp.n_states)
-    mu_t[s0] = 1.0
-    total = 0.0
-    for _ in range(T):
-        total += float(mu_t @ rho)
-        mu_t = mu_t @ kernel
-    return total / T
 
 
 def gaps(profiles: list[MixingProfile]) -> tuple[int, np.ndarray]:

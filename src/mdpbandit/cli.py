@@ -17,8 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chains import NotErgodicError, check_ergodicity, induced_chain, \
-    profile_expert, with_gaps
+from .chains import NotErgodicError, profile_expert, with_gaps
 from .experiment import ExperimentSpec, load_spec, run_spec, save_spec, \
     sweep_spec
 from .gridworld import DEFAULT_T0_SWEEP, benchmark_config, build_experts, \
@@ -50,14 +49,13 @@ def _parse_int_list(text: str, flag: str) -> list:
 def cmd_analyze(args) -> int:
     mdp = load_mdp(args.mdp)
     policies = load_policies(args.expert, mdp)
+    profiles = []
     for path, policy in zip(args.expert, policies):
-        flags = check_ergodicity(induced_chain(mdp, policy))
-        if not (flags["irreducible"] and flags["aperiodic"]):
+        try:
+            profiles.append(profile_expert(mdp, policy))
+        except NotErgodicError as exc:
             raise NotErgodicError(
-                f"expert {policy.expert_id} ({path}): induced chain is not "
-                f"ergodic (irreducible={flags['irreducible']}, "
-                f"aperiodic={flags['aperiodic']})")
-    profiles = [profile_expert(mdp, policy) for policy in policies]
+                f"expert {policy.expert_id} ({path}): {exc}") from None
     _, profiles = with_gaps(profiles)
     header = ("expert", "alpha", "C", "K", "R_bar", "Delta", "irreducible",
               "aperiodic")

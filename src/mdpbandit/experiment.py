@@ -33,9 +33,9 @@ from .bandit import HorizonSchedule, run_mab
 from .chains import MixingProfile, induced_chain, stationary_distribution, \
     steady_state_reward, with_gaps
 from .mdp import _is_int, load_mdp, load_policies, write_csv
-from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
-    cumulative_regret, cumulative_reward_time, ucb_regret_bounds, \
-    write_aggregate_csv, write_reward_time_csv
+from .regret import GapTooSmallError, aggregate_runs, cumulative_regret, \
+    cumulative_reward_time, ucb_regret_bounds, write_aggregate_csv, \
+    write_reward_time_csv
 
 __all__ = [
     "ExperimentSpec",
@@ -245,7 +245,7 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
         results = [_seed_task(payload) for payload in payloads]
 
     regrets, grids, cums = zip(*results)
-    mean, std = aggregate_runs([RegretCurve(v, r_star) for v in regrets])
+    mean, std = aggregate_runs(regrets)
     # r(0) = 0 holds unconditionally; without the bound only n >= 1 is nan
     bound = np.full(spec.iterations + 1, np.nan)
     bound[0] = 0.0

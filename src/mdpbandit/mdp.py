@@ -60,7 +60,6 @@ __all__ = [
     "Trajectory",
     "deterministic_reward",
     "validate_mdp",
-    "reduce_observation_expert",
     "run_expert",
     "sample_initial_state",
     "save_mdp",
@@ -194,24 +193,6 @@ def validate_policy(policy: ExpertPolicy, mdp: FiniteMdp) -> list[str]:
     for (s,) in zip(*np.where(np.abs(rows - 1.0) > _ATOL)):
         bad.append(f"policy row sum {rows[s]} at s={s}, expected 1")
     return bad
-
-
-def reduce_observation_expert(obs_map: np.ndarray, observation: np.ndarray,
-                              expert_id: int = 0) -> ExpertPolicy:
-    """Fold an observation-conditioned strategy into a state policy.
-
-    pi(s, a) = sum_y obs_map(y, a) * O(s, y).  This is how a partially
-    observing expert becomes an ordinary ExpertPolicy; with the identity
-    kernel it returns obs_map itself row for row.
-    """
-    obs_map = np.asarray(obs_map, dtype=float)
-    observation = np.asarray(observation, dtype=float)
-    if obs_map.ndim != 2 or observation.ndim != 2 \
-            or observation.shape[1] != obs_map.shape[0]:
-        raise ValueError(
-            f"observation table {observation.shape} does not compose with "
-            f"obs_map {obs_map.shape}")
-    return ExpertPolicy(policy=observation @ obs_map, expert_id=expert_id)
 
 
 def _is_int(value) -> bool:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import horizon
 from .chains import gaps
 from .mdp import write_csv
 
@@ -27,13 +26,9 @@ __all__ = [
     "regret_from_rewards",
     "cumulative_regret",
     "decomposition_terms",
-    "decomposition_bound",
-    "ucb_regret_bound",
     "ucb_regret_bounds",
-    "harmonic_sum_check",
     "aggregate_runs",
     "cumulative_reward_time",
-    "log_linear_fit",
     "write_aggregate_csv",
     "write_reward_time_csv",
 ]
@@ -49,10 +44,6 @@ class RegretCurve:
 
     values: np.ndarray   # longdouble, length N + 1
     r_star: float
-    log: object = None   # originating RunLog, if any
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def regret_from_rewards(avg_rewards, r_star: float) -> np.ndarray:
@@ -67,7 +58,7 @@ def cumulative_regret(log, r_star: float) -> RegretCurve:
     if len(log) == 0:
         raise ValueError("empty run log")
     return RegretCurve(values=regret_from_rewards(log.avg_rewards, r_star),
-                       r_star=float(r_star), log=log)
+                       r_star=float(r_star))
 
 
 def decomposition_terms(log, profiles):
@@ -93,36 +84,17 @@ def decomposition_terms(log, profiles):
     return term1, term2, term3
 
 
-def decomposition_bound(expected_pulls, profiles, schedule, n: int) -> float:
-    """Sum of E[T_e(n)] (Delta_e + K_e/T0) over suboptimal e, plus the
-    best expert's transient K_* sum over 1/T_m."""
-    e_star, deltas = gaps(profiles)
-    t0 = schedule.t0
-    total = 0.0
-    for e, p in enumerate(profiles):
-        if e == e_star:
-            continue
-        total += float(expected_pulls[e]) * (deltas[e] + p.k_const / t0)
-    total += profiles[e_star].k_const * math.fsum(
-        1.0 / horizon(schedule, m) for m in range(n))
-    return total
-
-
-def ucb_regret_bound(profiles, schedule, n: int) -> float:
-    """Closed-form expected-regret bound for the UCB selector at iteration n.
+def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
+    """Closed-form expected-regret bound for the UCB selector at each n of
+    the sequence ns, with the gap check and the per-expert constants worked
+    out once.
 
     Needs Delta_e > 2 K_e / T0 for every suboptimal expert; otherwise the
     logarithmic pull-count argument has nothing to work with and this
     raises GapTooSmallError naming the first offender.  The best expert's
     transient K_* sum_{m<n} 1/T_m is taken in closed form: K_* n / T0 for
-    a constant schedule, the harmonic_sum_check bound for a growing one.
+    a constant schedule, _harmonic_bound for a growing one.
     """
-    return ucb_regret_bounds(profiles, schedule, [n])[0]
-
-
-def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
-    """ucb_regret_bound at each n of the sequence ns, with the gap check and
-    the per-expert constants worked out once."""
     e_star, deltas = gaps(profiles)
     t0 = schedule.t0
     c = schedule.slope
@@ -154,14 +126,7 @@ def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
 
 
 def _harmonic_bound(t0: int, c: float, n: int) -> float:
-    """Upper bound on sum_{m<n} 1/T_m for a growing schedule; see
-    harmonic_sum_check for the derivation."""
-    return 1.0 / t0 + (1.0 / c) * math.log((t0 - 0.5 + c * (n - 1))
-                                           / (t0 - 0.5))
-
-
-def harmonic_sum_check(schedule, n: int) -> tuple[float, float]:
-    """(exact sum of 1/T_m for m < n, closed-form bound).
+    """Upper bound on sum_{m<n} 1/T_m for a growing schedule, n >= 1.
 
     The bound is 1/T0 + (1/c) ln((T0 - 1/2 + c(n - 1)) / (T0 - 1/2)) and
     holds for every n >= 1 with no further slack.  The m = 0 summand is
@@ -171,24 +136,19 @@ def harmonic_sum_check(schedule, n: int) -> tuple[float, float]:
     f(m) <= integral of f over [m - 1, m], and summing over m = 1..n-1
     gives the logarithm.  The bound only exists for growing schedules.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if schedule.slope <= 0:
-        raise ValueError("bound form invalid for c = 0; "
-                         "the constant schedule sums to n / T0 exactly")
-    exact = math.fsum(1.0 / horizon(schedule, m) for m in range(n))
-    return exact, _harmonic_bound(schedule.t0, schedule.slope, n)
+    return 1.0 / t0 + (1.0 / c) * math.log((t0 - 0.5 + c * (n - 1))
+                                           / (t0 - 0.5))
 
 
 def aggregate_runs(curves) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise mean and sample standard deviation over runs."""
+    """Pointwise mean and sample standard deviation over runs, each run an
+    array of r(n) for n = 0..N."""
     if not curves:
         raise ValueError("no curves to aggregate")
     lengths = {len(c) for c in curves}
     if len(lengths) != 1:
         raise ValueError(f"curves have mismatched lengths {sorted(lengths)}")
-    stack = np.stack([np.asarray(c.values, dtype=np.longdouble)
-                      for c in curves])
+    stack = np.stack([np.asarray(c, dtype=np.longdouble) for c in curves])
     mean = stack.mean(axis=0).astype(float)
     if len(curves) == 1:
         return mean, np.zeros_like(mean)
@@ -208,26 +168,6 @@ def cumulative_reward_time(log) -> tuple[np.ndarray, np.ndarray]:
                    * np.asarray(log.horizons, dtype=np.longdouble))
     cum = np.concatenate(([np.longdouble(0)], np.cumsum(step_totals)))
     return t.astype(np.int64), cum.astype(float)
-
-
-def log_linear_fit(n, y) -> tuple[float, float, float]:
-    """Least squares y ~ a ln n + b; returns (a, b, R^2)."""
-    n = np.asarray(n, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(n) != len(y) or len(n) < 2:
-        raise ValueError("need two or more aligned points to fit")
-    if (n < 1).any():
-        raise ValueError("fit window must have n >= 1")
-    X = np.column_stack((np.log(n), np.ones(len(n))))
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
 
 
 def write_aggregate_csv(path, mean, std, bound) -> None:

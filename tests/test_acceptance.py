@@ -26,18 +26,19 @@ import time
 import numpy as np
 import pytest
 
-from mdpbandit.bandit import HorizonSchedule, run_mab
-from mdpbandit.chains import (
-    expected_avg_reward_from_state,
-    induced_chain,
-    stationary_distribution,
-)
+from mdpbandit.bandit import HorizonSchedule, horizon, run_mab
+from mdpbandit.chains import induced_chain, stationary_distribution
 from mdpbandit.regret import (
     GapTooSmallError,
     decomposition_terms,
-    log_linear_fit,
     regret_from_rewards,
-    ucb_regret_bound,
+    ucb_regret_bounds,
+)
+
+from oracles import (
+    expected_avg_reward_from_state,
+    harmonic_bound,
+    log_linear_fit,
 )
 
 HORIZONS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -139,7 +140,7 @@ def test_criterion_5_bound_dominates_mean(bench, sweep_runs):
         ok = ok and np.isfinite(data["bound"]).all() and (margin >= 0).all()
 
     with pytest.raises(GapTooSmallError):
-        ucb_regret_bound(bench.profiles, HorizonSchedule(4, 0.1), 1)
+        ucb_regret_bounds(bench.profiles, HorizonSchedule(4, 0.1), [1])
     t0_4 = sweep_runs[4]
     ok = ok and np.isnan(t0_4["bound"][1:]).all() and t0_4["warned"]
     report(5, ok, f"min margin T0=16: {margins[16]:+.2f}, "
@@ -202,9 +203,6 @@ def test_criterion_9_harmonic_bound_from_the_start():
     # every n in [1, 1e5] on the canonical schedules (T0 = 4, 16, 64 at
     # c = 0.1); T_m <= T0 + cm + 1/2 caps the overshoot at
     # 1/T0 + (1/c) ln((T0 + 1/2)/(T0 - 1/2)), so an inflated bound fails too
-    from mdpbandit.bandit import horizon
-    from mdpbandit.regret import harmonic_sum_check
-
     c = 0.1
     n_max = 100_000
     m = np.arange(n_max)
@@ -221,10 +219,15 @@ def test_criterion_9_harmonic_bound_from_the_start():
         exact = np.cumsum(1.0 / ts)
         bound = 1.0 / t0 + (1.0 / c) * np.log((t0 - 0.5 + c * (n - 1))
                                               / (t0 - 0.5))
-        # the library's fsum and closed form must agree with both columns
+        # the scalar schedule's fsum and the package's closed form (the
+        # bound curve of a lone expert with K = 1) must agree with both
+        # columns
+        probes = (1, 2, 6, 76, 1000, n_max)
+        got_bounds = harmonic_bound(schedule, probes)
         mismatched = []
-        for probe in (1, 2, 6, 76, 1000, n_max):
-            got_exact, got_bound = harmonic_sum_check(schedule, probe)
+        for probe, got_bound in zip(probes, got_bounds):
+            got_exact = math.fsum(1.0 / horizon(schedule, k)
+                                  for k in range(probe))
             if (abs(got_exact - exact[probe - 1]) > 1e-9
                     or abs(got_bound - bound[probe - 1]) > 1e-12):
                 mismatched.append(probe)
@@ -235,8 +238,8 @@ def test_criterion_9_harmonic_bound_from_the_start():
         above = np.flatnonzero(over > cap)
         ok = ok and not mismatched and below.size == 0 and above.size == 0
         if mismatched:
-            parts.append(f"T0={t0}: harmonic_sum_check disagrees at "
-                         f"n = {mismatched}")
+            parts.append(f"T0={t0}: the package's closed form disagrees "
+                         f"at n = {mismatched}")
         elif below.size:
             worst = int(over.argmin())
             parts.append(f"T0={t0}: violated for n in [{below[0] + 1}, "

@@ -15,7 +15,6 @@ from mdpbandit.chains import (
     NotErgodicError,
     check_ergodicity,
     default_horizon,
-    expected_avg_reward_from_state,
     gaps,
     induced_chain,
     mixing_constants,
@@ -27,6 +26,7 @@ from mdpbandit.chains import (
 )
 from mdpbandit.mdp import ExpertPolicy, run_expert
 
+from oracles import expected_avg_reward_from_state
 from test_mdp import det_policy, make_mdp, one_state_mdp, random_mdp
 
 
@@ -114,6 +114,24 @@ def test_ergodicity_absorbing_chain_reducible_but_aperiodic():
     assert flags["aperiodic"] is True
 
 
+def test_ergodicity_wielandt_digraph_is_aperiodic():
+    # the ring 0 -> 1 -> ... -> S-1 -> 0 plus the chord S-1 -> 1 has cycles
+    # of lengths S and S - 1, so it is primitive, and its exponent is
+    # exactly (S - 1)^2 + 1, the most an S-state chain can need: fewer
+    # squarings than the check takes leave a zero in the power
+    for S in range(3, 14):
+        pattern = np.roll(np.eye(S), 1, axis=1)
+        pattern[S - 1, 1] = 1.0
+        kernel = pattern / pattern.sum(axis=1, keepdims=True)
+        assert check_ergodicity(chain(kernel)) == \
+            {"irreducible": True, "aperiodic": True}, S
+
+
+def test_ergodicity_rejects_an_empty_chain():
+    with pytest.raises(ValueError, match="at least one state"):
+        check_ergodicity(chain(np.zeros((0, 0))))
+
+
 def reachable(edges, u):
     """States reachable from u in zero or more steps (BFS)."""
     seen, queue = {u}, [u]
@@ -127,9 +145,9 @@ def reachable(edges, u):
 
 def oracle_ergodicity(pattern):
     """Flags from first principles, independent of check_ergodicity's
-    closure and BFS levels.  A component's period is the gcd of the lengths
-    k <= |C| of the closed walks through its states: every simple cycle is
-    that short, and every closed walk splits into simple cycles."""
+    closure and matrix powers.  A component's period is the gcd of the
+    lengths k <= |C| of the closed walks through its states: every simple
+    cycle is that short, and every closed walk splits into simple cycles."""
     S = len(pattern)
     edges = [{v for v in range(S) if pattern[u][v]} for u in range(S)]
     reach = [reachable(edges, u) for u in range(S)]
@@ -481,52 +499,6 @@ def test_steady_reward_rejects_mismatched_policy():
     mdp = two_state_mdp()
     with pytest.raises(ValueError):
         steady_state_reward(mdp, ExpertPolicy(policy=np.ones((3, 1))), np.ones(3) / 3)
-
-
-def test_expected_avg_reward_one_step_hand_value():
-    # from state 0 the only reward source is reaching the action from state 1,
-    # so E[r_1 | s0=0] = 0 and E[r_1 | s0=1] = 1
-    mdp = two_state_mdp()
-    expert = det_policy([0, 0], 1)
-    assert expected_avg_reward_from_state(mdp, expert, 0, 1) == pytest.approx(0.0)
-    assert expected_avg_reward_from_state(mdp, expert, 1, 1) == pytest.approx(1.0)
-
-
-def test_expected_avg_reward_constant_chain():
-    mdp = one_state_mdp([0.3])
-    expert = det_policy([0], 1)
-    for T in (1, 7, 64):
-        assert expected_avg_reward_from_state(mdp, expert, 0, T) == pytest.approx(0.3)
-
-
-def test_expected_avg_reward_matches_monte_carlo():
-    mdp = two_state_mdp()
-    expert = det_policy([0, 0], 1)
-    exact = expected_avg_reward_from_state(mdp, expert, 0, 4)
-    rng = np.random.default_rng(33)
-    draws = [run_expert(mdp, expert, 0, 4, rng)[0] for _ in range(100_000)]
-    assert abs(np.mean(draws) - exact) < 0.004
-
-
-def test_expected_avg_reward_approaches_steady_state():
-    mdp = two_state_mdp()
-    expert = det_policy([0, 0], 1)
-    mu = stationary_distribution(TWO_STATE)
-    rbar = steady_state_reward(mdp, expert, mu)
-    prof = profile_expert(mdp, expert)
-    for T in (1, 2, 4, 8, 16, 64, 256):
-        for s0 in (0, 1):
-            err = abs(rbar - expected_avg_reward_from_state(mdp, expert, s0, T))
-            assert err <= prof.k_const / T + 1e-12
-
-
-def test_expected_avg_reward_rejects_bad_arguments():
-    mdp = two_state_mdp()
-    expert = det_policy([0, 0], 1)
-    with pytest.raises(ValueError):
-        expected_avg_reward_from_state(mdp, expert, 0, 0)
-    with pytest.raises(ValueError):
-        expected_avg_reward_from_state(mdp, expert, 2, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdpbandit
-from mdpbandit import experiment
+from mdpbandit import chains, experiment
 from mdpbandit.bandit import RunLog
 from mdpbandit.cli import main
 from mdpbandit.experiment import (
@@ -32,8 +33,7 @@ from mdpbandit.experiment import (
 )
 from mdpbandit.gridworld import permute_actions
 from mdpbandit.mdp import ExpertPolicy, save_mdp, save_policy
-from mdpbandit.regret import log_linear_fit
-
+from oracles import log_linear_fit
 from test_mdp import det_policy, make_mdp
 
 # tiny 1x2 gridworld; the sticky trap keeps the induced chain aperiodic
@@ -546,6 +546,21 @@ def test_cli_analyze_non_ergodic_exits_two(tmp_path):
     assert code == 2
     assert "precondition violation" in err
     assert "not" in err and "ergodic" in err
+    assert f"expert 0 ({pol_path})" in err
+
+
+def test_cli_analyze_checks_each_chain_once(bench, tmp_path):
+    save_mdp(bench.mdp, tmp_path / "mdp.json")
+    paths = []
+    for expert in bench.experts:
+        paths.append(str(tmp_path / f"expert_{expert.expert_id}.json"))
+        save_policy(expert, paths[-1])
+    with mock.patch.object(chains, "check_ergodicity",
+                           wraps=chains.check_ergodicity) as check:
+        code, out, _ = run_cli(["analyze", str(tmp_path / "mdp.json")]
+                               + paths)
+    assert code == 0 and len(out.splitlines()) == 5
+    assert check.call_count == 4
 
 
 def test_cli_run_non_ergodic_exits_two(tmp_path):

@@ -20,7 +20,6 @@ from mdpbandit.mdp import (
     deterministic_reward,
     load_mdp,
     load_policy,
-    reduce_observation_expert,
     run_expert,
     sample_initial_state,
     save_mdp,
@@ -176,32 +175,6 @@ def test_validate_policy_rows():
     bad_row = ExpertPolicy(policy=np.array([[0.5], [1.0]]))
     msgs = validate_policy(bad_row, mdp)
     assert len(msgs) == 1 and "s=0" in msgs[0]
-
-
-# ---------------------------------------------------------------------------
-# observation folding
-
-
-def test_reduce_observation_identity_returns_map_row_for_row():
-    rng = np.random.default_rng(3)
-    obs_map = rng.dirichlet(np.ones(3), size=4)
-    expert = reduce_observation_expert(obs_map, np.eye(4), expert_id=7)
-    np.testing.assert_array_equal(expert.policy, obs_map)
-    assert expert.expert_id == 7
-
-
-def test_reduce_observation_uniform_kernel_mixes_actions():
-    # two states, two observations, kernel uniform: the expert cannot tell
-    # states apart, so each state plays (0.5, 0.5) whatever the obs rule says
-    obs_map = np.array([[1.0, 0.0], [0.0, 1.0]])  # f(y0)=a0, f(y1)=a1
-    O = np.full((2, 2), 0.5)
-    expert = reduce_observation_expert(obs_map, O)
-    np.testing.assert_allclose(expert.policy, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-
-
-def test_reduce_observation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        reduce_observation_expert(np.ones((3, 2)) / 2, np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,14 @@ from mdpbandit.regret import (
     aggregate_runs,
     cumulative_regret,
     cumulative_reward_time,
-    decomposition_bound,
     decomposition_terms,
-    harmonic_sum_check,
-    log_linear_fit,
     regret_from_rewards,
-    ucb_regret_bound,
     ucb_regret_bounds,
     write_aggregate_csv,
     write_reward_time_csv,
 )
+
+from oracles import decomposition_bound
 
 
 def prof(r, k=2.0):
@@ -82,8 +80,7 @@ def test_cumulative_regret_wraps_the_log():
     curve = cumulative_regret(log, 0.74)
     assert isinstance(curve, RegretCurve)
     assert curve.r_star == 0.74
-    assert curve.log is log
-    assert len(curve) == 3
+    assert len(curve.values) == 3
     empty = RunLog(experts=np.array([], dtype=int), horizons=np.array([], dtype=int),
                    start_states=np.array([], dtype=int), avg_rewards=np.array([]),
                    t_start=np.array([], dtype=int))
@@ -158,57 +155,21 @@ def test_decomposition_identity_on_benchmark_runs(bench, hundred_runs):
 # bound curves
 
 
-def test_decomposition_bound_single_pull_hand_value():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.03)]
-    sched = HorizonSchedule(4, 0.1)
-    # n=0: no transient sum yet, one expected suboptimal pull
-    got = decomposition_bound([0.0, 1.0], profiles, sched, 0)
-    assert got == pytest.approx(0.71 + 2.03 / 4, abs=1e-12)
-
-
-def test_decomposition_bound_constant_schedule_transient():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.0)]
-    sched = HorizonSchedule(4, 0.0)
-    base = decomposition_bound([0.0, 0.0], profiles, sched, 0)
-    assert base == 0.0
-    got = decomposition_bound([0.0, 0.0], profiles, sched, 12)
-    assert got == pytest.approx(2.0 * 12 / 4, abs=1e-12)
-
-
-def test_decomposition_bound_dominates_benchmark_mean(bench, certified,
-                                                      hundred_runs):
-    # the expected-pull form of the bound assumes valid certificates; with
-    # the certified constants it sits far above the hundred-run mean at
-    # every checkpoint
-    _, profiles = certified
-    sched = HorizonSchedule(4, 0.1)
-    e_star = bench.e_star
-    curves = np.stack([
-        np.asarray(regret_from_rewards(log.avg_rewards, bench.r_star),
-                   dtype=float)
-        for log in hundred_runs
-    ])
-    mean = curves.mean(axis=0)
-    for n in (50, 100, 200, 400):
-        pulls = np.zeros(4)
-        for log in hundred_runs:
-            pulls += np.bincount(log.experts[:n], minlength=4)
-        pulls /= len(hundred_runs)
-        bound = decomposition_bound(pulls, profiles, sched, n)
-        assert mean[n] <= bound
-        assert mean[n] / bound < 0.05  # not a near miss
+def bound_at(profiles, schedule, n):
+    """The bound curve at the single iteration n."""
+    return ucb_regret_bounds(profiles, schedule, [n])[0]
 
 
 def test_ucb_regret_bound_small_gap_raises():
     profiles = [prof(0.74, 2.0), prof(0.24, 2.0)]  # gap 0.5 <= 2 K/T0 = 1
     with pytest.raises(GapTooSmallError, match="expert 1"):
-        ucb_regret_bound(profiles, HorizonSchedule(4, 0.1), 10)
+        bound_at(profiles, HorizonSchedule(4, 0.1), 10)
 
 
 def test_ucb_regret_bound_first_iteration_closed_form():
     profiles = [prof(0.74, 2.0), prof(0.03, 2.0)]
     sched = HorizonSchedule(16, 0.1)
-    got = ucb_regret_bound(profiles, sched, 1)
+    got = bound_at(profiles, sched, 1)
     # ln 1 = 0 leaves the constant pull term and the best expert's first
     # transient summand K_*/T_0
     expected = (1.0 + math.pi ** 2 / 3.0) * (0.71 + 2.0 / 16.0) + 2.0 / 16
@@ -219,11 +180,11 @@ def test_ucb_regret_bound_constant_schedule_linear_term():
     profiles = [prof(0.74, 2.0)]  # lone expert: only the transient term
     sched = HorizonSchedule(8, 0.0)
     for n in (1, 10, 100):
-        assert ucb_regret_bound(profiles, sched, n) == pytest.approx(
+        assert bound_at(profiles, sched, n) == pytest.approx(
             2.0 * n / 8.0, abs=1e-12)
     grow = HorizonSchedule(8, 0.5)
     for n in (1, 10, 100):
-        assert ucb_regret_bound(profiles, grow, n) == pytest.approx(
+        assert bound_at(profiles, grow, n) == pytest.approx(
             2.0 * (1.0 / 8 + (1.0 / 0.5) * math.log((7.5 + 0.5 * (n - 1))
                                                     / 7.5)), abs=1e-12)
 
@@ -236,17 +197,17 @@ def test_ucb_regret_bound_covers_a_lone_experts_exact_transient(t0, c):
     profiles = [prof(0.74, 2.0)]
     sched = HorizonSchedule(t0, c)
     for n in range(1, 2001):
-        assert ucb_regret_bound(profiles, sched, n) >= decomposition_bound(
+        assert bound_at(profiles, sched, n) >= decomposition_bound(
             [0.0], profiles, sched, n), n
 
 
 def test_ucb_regret_bound_monotone_in_n():
     profiles = [prof(0.74, 2.0), prof(0.03, 2.0), prof(0.1, 2.0)]
     sched = HorizonSchedule(16, 0.1)
-    vals = [ucb_regret_bound(profiles, sched, n) for n in range(1, 200)]
+    vals = [bound_at(profiles, sched, n) for n in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        ucb_regret_bound(profiles, sched, 0)
+        bound_at(profiles, sched, 0)
     with pytest.raises(ValueError):
         ucb_regret_bounds(profiles, sched, [3, 0])
 
@@ -288,7 +249,7 @@ def test_ucb_regret_bounds_equal_the_per_n_form(t0, c):
     ns = range(1, 2001)
     expected = [per_n_ucb_regret_bound(profiles, sched, n) for n in ns]
     assert ucb_regret_bounds(profiles, sched, ns).tolist() == expected
-    assert [ucb_regret_bound(profiles, sched, n) for n in ns] == expected
+    assert [bound_at(profiles, sched, n) for n in ns] == expected
 
 
 def test_ucb_regret_bounds_gap_error_message():
@@ -297,49 +258,9 @@ def test_ucb_regret_bounds_gap_error_message():
     with pytest.raises(GapTooSmallError) as want:
         per_n_ucb_regret_bound(profiles, sched, 10)
     assert str(want.value) == "expert 2: gap 0.500000 <= 2 K_e/T0 = 1.000000"
-    for bound in (lambda: ucb_regret_bounds(profiles, sched, range(1, 10)),
-                  lambda: ucb_regret_bound(profiles, sched, 10)):
-        with pytest.raises(GapTooSmallError) as got:
-            bound()
-        assert str(got.value) == str(want.value)
-
-
-# ---------------------------------------------------------------------------
-# the harmonic sum
-
-
-def test_harmonic_sum_first_iteration():
-    exact, bound = harmonic_sum_check(HorizonSchedule(4, 0.1), 1)
-    assert exact == 0.25
-    # the sum is the single term 1/T0 and the logarithm vanishes at n = 1
-    assert bound == pytest.approx(1.0 / 4, abs=1e-15)
-    assert bound >= exact
-    # an empty sum has no closed form here: at n = 0 the formula would
-    # read 1/T0 - (1/c) ln((T0 - 1/2)/(T0 - 1/2 - c)) < 0
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        harmonic_sum_check(HorizonSchedule(4, 0.1), 0)
-
-
-def test_harmonic_sum_with_rounding_slack_at_n_100():
-    sched = HorizonSchedule(4, 0.1)
-    exact, bound = harmonic_sum_check(sched, 100)
-    # rounding needs no slack: the half step is inside the closed form
-    assert bound == pytest.approx(
-        1.0 / 4 + 10.0 * math.log((3.5 + 0.1 * 99) / 3.5), abs=1e-12)
-    assert exact <= bound
-    assert exact == pytest.approx(
-        math.fsum(1.0 / horizon(sched, m) for m in range(100)), abs=1e-15)
-
-
-def test_harmonic_sum_fast_growth_beats_linear_time():
-    sched = HorizonSchedule(4, 10.0)
-    exact, _ = harmonic_sum_check(sched, 100)
-    assert exact < 2.5  # far below the constant-schedule value n/T0 = 25
-
-
-def test_harmonic_sum_rejects_constant_schedule():
-    with pytest.raises(ValueError):
-        harmonic_sum_check(HorizonSchedule(4, 0.0), 10)
+    with pytest.raises(GapTooSmallError) as got:
+        ucb_regret_bounds(profiles, sched, range(1, 10))
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +268,7 @@ def test_harmonic_sum_rejects_constant_schedule():
 
 
 def curve(values):
-    return RegretCurve(values=np.asarray(values, dtype=np.longdouble), r_star=0.0)
+    return np.asarray(values, dtype=np.longdouble)
 
 
 def test_aggregate_mean_and_std_hand_values():
@@ -405,39 +326,6 @@ def test_cumulative_reward_time_grid_is_schedule_only():
     t_a, _ = cumulative_reward_time(log_a)
     t_b, _ = cumulative_reward_time(log_b)
     np.testing.assert_array_equal(t_a, t_b)
-
-
-def test_log_linear_fit_recovers_exact_coefficients():
-    n = np.arange(10, 200)
-    y = 2.5 * np.log(n) - 1.0
-    a, b, r2 = log_linear_fit(n, y)
-    assert a == pytest.approx(2.5, abs=1e-9)
-    assert b == pytest.approx(-1.0, abs=1e-8)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_log_linear_fit_constant_series():
-    # zero total variance must not divide by zero; the flag lands on 1.0
-    # for an exact reproduction and 0.0 when least squares leaves rounding
-    a, b, r2 = log_linear_fit([1, 2, 3], [4.0, 4.0, 4.0])
-    assert a == pytest.approx(0.0, abs=1e-9)
-    assert b == pytest.approx(4.0, abs=1e-9)
-    assert r2 in (0.0, 1.0)
-
-
-def test_log_linear_fit_poor_on_linear_growth():
-    n = np.arange(1, 500)
-    _, _, r2 = log_linear_fit(n, 3.0 * n)
-    assert r2 < 0.9
-
-
-def test_log_linear_fit_rejects_bad_windows():
-    with pytest.raises(ValueError):
-        log_linear_fit([1], [2.0])
-    with pytest.raises(ValueError):
-        log_linear_fit([0, 1], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        log_linear_fit([1, 2], [1.0])
 
 
 def test_aggregate_csv_round_trip(tmp_path):
