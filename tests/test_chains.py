@@ -501,6 +501,52 @@ def test_steady_reward_rejects_mismatched_policy():
         steady_state_reward(mdp, ExpertPolicy(policy=np.ones((3, 1))), np.ones(3) / 3)
 
 
+def test_expected_avg_reward_one_step_hand_value():
+    # from state 0 the only reward source is reaching the action from state 1,
+    # so E[r_1 | s0=0] = 0 and E[r_1 | s0=1] = 1
+    mdp = two_state_mdp()
+    expert = det_policy([0, 0], 1)
+    assert expected_avg_reward_from_state(mdp, expert, 0, 1) == pytest.approx(0.0)
+    assert expected_avg_reward_from_state(mdp, expert, 1, 1) == pytest.approx(1.0)
+
+
+def test_expected_avg_reward_constant_chain():
+    mdp = one_state_mdp([0.3])
+    expert = det_policy([0], 1)
+    for T in (1, 7, 64):
+        assert expected_avg_reward_from_state(mdp, expert, 0, T) == pytest.approx(0.3)
+
+
+def test_expected_avg_reward_matches_monte_carlo():
+    mdp = two_state_mdp()
+    expert = det_policy([0, 0], 1)
+    exact = expected_avg_reward_from_state(mdp, expert, 0, 4)
+    rng = np.random.default_rng(33)
+    draws = [run_expert(mdp, expert, 0, 4, rng)[0] for _ in range(100_000)]
+    assert abs(np.mean(draws) - exact) < 0.004
+
+
+def test_expected_avg_reward_approaches_steady_state():
+    mdp = two_state_mdp()
+    expert = det_policy([0, 0], 1)
+    mu = stationary_distribution(TWO_STATE)
+    rbar = steady_state_reward(mdp, expert, mu)
+    prof = profile_expert(mdp, expert)
+    for T in (1, 2, 4, 8, 16, 64, 256):
+        for s0 in (0, 1):
+            err = abs(rbar - expected_avg_reward_from_state(mdp, expert, s0, T))
+            assert err <= prof.k_const / T + 1e-12
+
+
+def test_expected_avg_reward_rejects_bad_arguments():
+    mdp = two_state_mdp()
+    expert = det_policy([0, 0], 1)
+    with pytest.raises(ValueError):
+        expected_avg_reward_from_state(mdp, expert, 0, 0)
+    with pytest.raises(ValueError):
+        expected_avg_reward_from_state(mdp, expert, 2, 5)
+
+
 # ---------------------------------------------------------------------------
 # gaps and full profiles
 

@@ -22,7 +22,7 @@ from mdpbandit.regret import (
     write_reward_time_csv,
 )
 
-from oracles import decomposition_bound
+from oracles import decomposition_bound, harmonic_sum_check, log_linear_fit
 
 
 def prof(r, k=2.0):
@@ -155,6 +155,47 @@ def test_decomposition_identity_on_benchmark_runs(bench, hundred_runs):
 # bound curves
 
 
+def test_decomposition_bound_single_pull_hand_value():
+    profiles = [prof(0.74, 2.0), prof(0.03, 2.03)]
+    sched = HorizonSchedule(4, 0.1)
+    # n=0: no transient sum yet, one expected suboptimal pull
+    got = decomposition_bound([0.0, 1.0], profiles, sched, 0)
+    assert got == pytest.approx(0.71 + 2.03 / 4, abs=1e-12)
+
+
+def test_decomposition_bound_constant_schedule_transient():
+    profiles = [prof(0.74, 2.0), prof(0.03, 2.0)]
+    sched = HorizonSchedule(4, 0.0)
+    base = decomposition_bound([0.0, 0.0], profiles, sched, 0)
+    assert base == 0.0
+    got = decomposition_bound([0.0, 0.0], profiles, sched, 12)
+    assert got == pytest.approx(2.0 * 12 / 4, abs=1e-12)
+
+
+def test_decomposition_bound_dominates_benchmark_mean(bench, certified,
+                                                      hundred_runs):
+    # the expected-pull form of the bound assumes valid certificates; with
+    # the certified constants it sits far above the hundred-run mean at
+    # every checkpoint
+    _, profiles = certified
+    sched = HorizonSchedule(4, 0.1)
+    e_star = bench.e_star
+    curves = np.stack([
+        np.asarray(regret_from_rewards(log.avg_rewards, bench.r_star),
+                   dtype=float)
+        for log in hundred_runs
+    ])
+    mean = curves.mean(axis=0)
+    for n in (50, 100, 200, 400):
+        pulls = np.zeros(4)
+        for log in hundred_runs:
+            pulls += np.bincount(log.experts[:n], minlength=4)
+        pulls /= len(hundred_runs)
+        bound = decomposition_bound(pulls, profiles, sched, n)
+        assert mean[n] <= bound
+        assert mean[n] / bound < 0.05  # not a near miss
+
+
 def bound_at(profiles, schedule, n):
     """The bound curve at the single iteration n."""
     return ucb_regret_bounds(profiles, schedule, [n])[0]
@@ -264,6 +305,44 @@ def test_ucb_regret_bounds_gap_error_message():
 
 
 # ---------------------------------------------------------------------------
+# the harmonic sum
+
+
+def test_harmonic_sum_first_iteration():
+    exact, bound = harmonic_sum_check(HorizonSchedule(4, 0.1), 1)
+    assert exact == 0.25
+    # the sum is the single term 1/T0 and the logarithm vanishes at n = 1
+    assert bound == pytest.approx(1.0 / 4, abs=1e-15)
+    assert bound >= exact
+    # an empty sum has no closed form here: at n = 0 the formula would
+    # read 1/T0 - (1/c) ln((T0 - 1/2)/(T0 - 1/2 - c)) < 0
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        harmonic_sum_check(HorizonSchedule(4, 0.1), 0)
+
+
+def test_harmonic_sum_with_rounding_slack_at_n_100():
+    sched = HorizonSchedule(4, 0.1)
+    exact, bound = harmonic_sum_check(sched, 100)
+    # rounding needs no slack: the half step is inside the closed form
+    assert bound == pytest.approx(
+        1.0 / 4 + 10.0 * math.log((3.5 + 0.1 * 99) / 3.5), abs=1e-12)
+    assert exact <= bound
+    assert exact == pytest.approx(
+        math.fsum(1.0 / horizon(sched, m) for m in range(100)), abs=1e-15)
+
+
+def test_harmonic_sum_fast_growth_beats_linear_time():
+    sched = HorizonSchedule(4, 10.0)
+    exact, _ = harmonic_sum_check(sched, 100)
+    assert exact < 2.5  # far below the constant-schedule value n/T0 = 25
+
+
+def test_harmonic_sum_rejects_constant_schedule():
+    with pytest.raises(ValueError):
+        harmonic_sum_check(HorizonSchedule(4, 0.0), 10)
+
+
+# ---------------------------------------------------------------------------
 # aggregation and emitters
 
 
@@ -326,6 +405,39 @@ def test_cumulative_reward_time_grid_is_schedule_only():
     t_a, _ = cumulative_reward_time(log_a)
     t_b, _ = cumulative_reward_time(log_b)
     np.testing.assert_array_equal(t_a, t_b)
+
+
+def test_log_linear_fit_recovers_exact_coefficients():
+    n = np.arange(10, 200)
+    y = 2.5 * np.log(n) - 1.0
+    a, b, r2 = log_linear_fit(n, y)
+    assert a == pytest.approx(2.5, abs=1e-9)
+    assert b == pytest.approx(-1.0, abs=1e-8)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_log_linear_fit_constant_series():
+    # zero total variance must not divide by zero; the flag lands on 1.0
+    # for an exact reproduction and 0.0 when least squares leaves rounding
+    a, b, r2 = log_linear_fit([1, 2, 3], [4.0, 4.0, 4.0])
+    assert a == pytest.approx(0.0, abs=1e-9)
+    assert b == pytest.approx(4.0, abs=1e-9)
+    assert r2 in (0.0, 1.0)
+
+
+def test_log_linear_fit_poor_on_linear_growth():
+    n = np.arange(1, 500)
+    _, _, r2 = log_linear_fit(n, 3.0 * n)
+    assert r2 < 0.9
+
+
+def test_log_linear_fit_rejects_bad_windows():
+    with pytest.raises(ValueError):
+        log_linear_fit([1], [2.0])
+    with pytest.raises(ValueError):
+        log_linear_fit([0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        log_linear_fit([1, 2], [1.0])
 
 
 def test_aggregate_csv_round_trip(tmp_path):
