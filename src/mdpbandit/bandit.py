@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import run_expert, sample_initial_state, write_csv
+from .mdp import _stepper, sample_initial_state, write_csv
 
 __all__ = [
     "HorizonSchedule",
@@ -32,6 +32,8 @@ __all__ = [
 
 # the run-log CSV header, shared by RunLog.to_csv and RunLog.from_csv
 RUNLOG_COLUMNS = ("n", "expert", "T_n", "start_state", "avg_reward", "t_n")
+
+_BLOCK = 4096   # uniforms run_mab draws at a time
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class BanditState:
     pulls: list         # k_e, one count per expert
     sums: list          # S_e, cumulative per-pull average rewards
     n: int = 0          # iterations completed, equals sum(pulls)
-    elapsed: int = 0    # MDP steps consumed, sum of past T_m
 
     @classmethod
     def fresh(cls, n_experts: int) -> "BanditState":
@@ -89,11 +90,15 @@ def select_ucb(state: BanditState, k_consts, schedule: HorizonSchedule) -> int:
     pulls, sums, n, t0 = state.pulls, state.sums, state.n, schedule.t0
     if len(pulls) == 0:
         raise ValueError("no experts to select from")
+    if 0 in pulls:
+        return list(pulls).index(0)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    # confidence_bound's operations in its order, with 8 ln n taken once
+    log8 = 8.0 * math.log(n)
     best, best_index = 0, -math.inf
     for e, k in enumerate(pulls):
-        if k == 0:
-            return e
-        index = sums[e] / k + confidence_bound(k_consts[e], t0, k, n)
+        index = sums[e] / k + (k_consts[e] / t0 + math.sqrt(log8 / k))
         if index > best_index:
             best, best_index = e, index
     return best
@@ -175,7 +180,8 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
     events is a list of (iteration, replacement FiniteMdp); each replacement
     is installed before its iteration's selection, and the environment state
     survives the swap.  When selector is None a UCB selector is built from
-    the profiles' k_const fields.
+    the profiles' k_const fields.  Uniforms are drawn from rng ahead of use
+    (the RNG stream contract in mdp), so rng may end past the last one used.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -201,33 +207,46 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
     state = BanditState.fresh(n_exp)
     s = sample_initial_state(mdp, rng)
 
+    # horizon(schedule, n) for every n: rint rounds half to even like round()
+    hors = np.maximum(schedule.t0, np.rint(
+        schedule.t0 + schedule.slope * np.arange(iterations))).astype(np.int64)
+    t_start = np.concatenate(([0], np.cumsum(hors[:-1])))
     # preallocated columns: lists would keep a Python float and int per pull
     # alive to the end of the run (+0.8 MB peak RSS over 20000 pulls)
     chosen = np.zeros(iterations, dtype=np.int64)
-    hors = np.zeros(iterations, dtype=np.int64)
     starts = np.zeros(iterations, dtype=np.int64)
     rewards = np.zeros(iterations)
-    t_start = np.zeros(iterations, dtype=np.int64)
 
-    current = mdp
-    for n in range(iterations):
+    # uniforms are drawn ahead in blocks, the stream per-pull draws make: a
+    # pull walks on T * width of them, then skips T, the observation draw,
+    # unless the MDP observes its states exactly
+    block, i, live = [], 0, None
+    sums, pulls = state.sums, state.pulls
+    for n, T in enumerate(hors.tolist()):
         while pending and pending[0][0] <= n:
-            current = pending.pop(0)[1]
-        T = horizon(schedule, n)
+            mdp = pending.pop(0)[1]
+        if mdp is not live:
+            live, steppers = mdp, [_stepper(mdp, p) for p in experts]
+            skip = not steppers[0].identity_obs
         e = selector(state, schedule)
         if not 0 <= e < n_exp:
             raise ValueError(f"selector chose expert {e!r} at iteration {n}; "
                              f"expected an index in range({n_exp})")
+        stepper = steppers[e]
+        take = T * stepper.width
+        end = i + take + T * skip
+        if end > len(block):
+            block = block[i:] + rng.random(
+                max(_BLOCK, end - len(block))).tolist()
+            i, end = 0, end - i
         starts[n] = s
-        t_start[n] = state.elapsed
-        avg, s, _ = run_expert(current, experts[e], s, T, rng, record=False)
+        total, s = stepper.walk(s, block[i:i + take])
+        i = end
         chosen[n] = e
-        hors[n] = T
-        rewards[n] = avg
-        state.sums[e] += avg
-        state.pulls[e] += 1
-        state.n += 1
-        state.elapsed += T
+        rewards[n] = avg = total / T
+        sums[e] += avg
+        pulls[e] += 1
+        state.n = n + 1
 
     meta = {"t0": schedule.t0, "c": schedule.slope, "iterations": iterations}
     if events:

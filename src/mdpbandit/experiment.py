@@ -237,9 +237,11 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
     payloads = [(mdp, experts, profiles, schedule, spec.iterations, events,
                  seed, str(out), r_star) for seed in spec.seeds]
     # results come back in spec order either way (pool.map keeps it), so
-    # the aggregate is identical however the seeds ran
-    if workers > 1:
-        with ProcessPoolExecutor(min(workers, len(payloads))) as pool:
+    # the aggregate is identical however the seeds ran; a pool of one
+    # process would only fork and pickle
+    processes = min(workers, len(payloads))
+    if processes > 1:
+        with ProcessPoolExecutor(processes) as pool:
             results = list(pool.map(_seed_task, payloads))
     else:
         results = [_seed_task(payload) for payload in payloads]

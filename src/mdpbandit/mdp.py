@@ -6,16 +6,17 @@ sampling path is deliberately plain Python over precomputed cumulative rows:
 per step it does one bisect on a list of floats, which benchmarks far faster
 than any vectorized per-step alternative for the short horizons we run.
 
-RNG stream contract (what a seeded run consumes, in order):
-  1. one block of T uniforms for the state transitions, always;
-     if the policy or the reward kernel is stochastic the block widens to
-     (T, d) with one extra column per stochastic source, consumed row by row
-     as (action draw, transition draw, reward draw)
-  2. one block of T uniforms for observations, drawn after the step loop and
-     only when the observation kernel is not the identity
-Deterministic policies (one-hot rows), deterministic rewards and identity
-observations consume exactly T uniforms per rollout.  The observation block
-comes last so the state and reward stream never depends on the kernel O.
+RNG stream contract (what a seeded rollout of T steps consumes, in order):
+  1. T * d uniforms for the steps, d = 1 plus one per stochastic source
+     (policy, reward kernel), read step by step as (action draw, transition
+     draw, reward draw); a deterministic source reads 0.0 instead, which
+     picks the one entry of its row [1.0]
+  2. T uniforms for observations, only when the observation kernel is not
+     the identity; they come last so the state and reward stream never
+     depends on the kernel O
+bandit.run_mab draws these values ahead, a few thousand at a time, which
+is the same stream: a run uses the same values in the same order, but the
+caller's generator may end past the last value the run used.
 
 The sampler keeps each row on its positive entries only.  Per MDP, built
 once and shared by its experts, each (s, a) row holds the next states, their
@@ -28,12 +29,10 @@ exceeds u, and a zero-mass entry repeats the value before it, so that entry
 has positive mass unless u lies past the last positive entry, which _cdf pins
 to exactly 1.0 > u.
 
-run_expert has three step loops over these rows: a fast one for a
-deterministic policy with deterministic rewards and record=False, a general
-one for every other case with record=False, and a recording one for
-record=True.  The last two read a deterministic source's draw as 0.0, which
-picks the one entry of its row [1.0].  A (T, d) block and a flat T * d block
-are the same stream, so the record flag never shifts what a seeded run draws.
+_Stepper.walk has a fast step loop for a deterministic policy with
+deterministic rewards and a general one for every other case; run_expert
+walks, or with record=True runs a recording copy of the general loop on the
+same draws, so the record flag never shifts what a seeded run draws.
 
 FiniteMdp._tables maps None to the MDP's rows and id(policy) to that policy's
 stepper.  An entry counts only when its stepper holds that very policy: ids
@@ -260,8 +259,8 @@ class _Stepper:
     deterministic rewards, flat[s] is (cumulative mass, next states,
     rewards) of the one action."""
 
-    __slots__ = ("policy", "stoch_pol", "stoch_rew", "identity_obs", "rows",
-                 "flat")
+    __slots__ = ("policy", "stoch_pol", "stoch_rew", "width", "identity_obs",
+                 "rows", "flat")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy, mdp_rows: list):
         bad = validate_policy(policy, mdp)
@@ -273,6 +272,7 @@ class _Stepper:
         # other mass, so argmax is the whole distribution
         self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
         self.stoch_rew = mdp.reward_values.shape[-1] > 1
+        self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
         self.identity_obs = (mdp.n_obs == mdp.n_states
                              and np.array_equal(mdp.observation,
                                                 np.eye(mdp.n_states)))
@@ -286,6 +286,48 @@ class _Stepper:
         if not self.stoch_rew:
             self.flat = [(cum, nxt, [vals[0] for _, vals in rew])
                          for _, cum, nxt, rew in taken]
+
+    def draws(self, uniforms: list):
+        """The (action, transition, reward) draw of each step; a
+        deterministic source reads 0.0, which picks the one entry of its
+        row [1.0]."""
+        it = iter(uniforms)
+        return zip(it if self.stoch_pol else repeat(0.0), it,
+                   it if self.stoch_rew else repeat(0.0))
+
+    def walk(self, s: int, uniforms: list) -> tuple:
+        """Step from s on uniforms, width of them a step; returns (total
+        reward, final state)."""
+        total = 0.0
+        if self.flat is not None:
+            # fast path: deterministic policy and rewards, one uniform a step
+            rows = self.flat
+            for x in uniforms:
+                cum, nxt, rew = rows[s]
+                k = bisect_right(cum, x)
+                total += rew[k]
+                s = nxt[k]
+            return total, s
+        rows = self.rows
+        for xa, xt, xr in self.draws(uniforms):
+            acum, arows = rows[s]
+            _, cum, nxt, rew = arows[bisect_right(acum, xa)]
+            k = bisect_right(cum, xt)
+            rcum, rvals = rew[k]
+            total += rvals[bisect_right(rcum, xr)]
+            s = nxt[k]
+        return total, s
+
+
+def _stepper(mdp: FiniteMdp, policy: ExpertPolicy) -> _Stepper:
+    """The cached stepper of (mdp, policy), built on first use."""
+    cache = mdp._tables
+    stepper = cache.get(id(policy))
+    if stepper is None or stepper.policy is not policy:
+        if None not in cache:
+            cache[None] = _mdp_rows(mdp)
+        stepper = cache[id(policy)] = _Stepper(mdp, policy, cache[None])
+    return stepper
 
 
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
@@ -301,58 +343,29 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 <= s0 < mdp.n_states:
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
-    cache = mdp._tables
-    stepper = cache.get(id(policy))
-    if stepper is None or stepper.policy is not policy:
-        if None not in cache:
-            cache[None] = _mdp_rows(mdp)
-        stepper = cache[id(policy)] = _Stepper(mdp, policy, cache[None])
-
-    total = 0.0
-    s = s0
-    if not record and stepper.flat is not None:
-        # fast path: deterministic policy and rewards, one uniform a step
-        rows = stepper.flat
-        for x in rng.random(T).tolist():
-            cum, nxt, rew = rows[s]
-            k = bisect_right(cum, x)
-            total += rew[k]
-            s = nxt[k]
-    else:
-        # one (action, transition, reward) draw a step; a deterministic
-        # source reads 0.0, which picks the one entry of its row [1.0]
-        stoch_pol, stoch_rew = stepper.stoch_pol, stepper.stoch_rew
-        it = iter(rng.random(T * (1 + stoch_pol + stoch_rew)).tolist())
-        draws = zip(it if stoch_pol else repeat(0.0), it,
-                    it if stoch_rew else repeat(0.0))
-        rows = stepper.rows
-        if not record:
-            for xa, xt, xr in draws:
-                acum, arows = rows[s]
-                _, cum, nxt, rew = arows[bisect_right(acum, xa)]
-                k = bisect_right(cum, xt)
-                rcum, rvals = rew[k]
-                total += rvals[bisect_right(rcum, xr)]
-                s = nxt[k]
-        else:
-            states, actions, rewards = [s0], [], []
-            for xa, xt, xr in draws:
-                acum, arows = rows[s]
-                a, cum, nxt, rew = arows[bisect_right(acum, xa)]
-                k = bisect_right(cum, xt)
-                rcum, rvals = rew[k]
-                r = rvals[bisect_right(rcum, xr)]
-                total += r
-                s = nxt[k]
-                states.append(s)
-                actions.append(a)
-                rewards.append(r)
-
-    # drawn after the step loop, and drawn whether or not we record, so the
+    stepper = _stepper(mdp, policy)
+    uniforms = rng.random(T * stepper.width).tolist()
+    # drawn after the step draws, and drawn whether or not we record, so the
     # state stream is independent of both O and the record flag
     ou = None if stepper.identity_obs else rng.random(T)
     if not record:
+        total, s = stepper.walk(s0, uniforms)
         return total / T, s, None
+
+    rows = stepper.rows
+    total, s = 0.0, s0
+    states, actions, rewards = [s0], [], []
+    for xa, xt, xr in stepper.draws(uniforms):
+        acum, arows = rows[s]
+        a, cum, nxt, rew = arows[bisect_right(acum, xa)]
+        k = bisect_right(cum, xt)
+        rcum, rvals = rew[k]
+        r = rvals[bisect_right(rcum, xr)]
+        total += r
+        s = nxt[k]
+        states.append(s)
+        actions.append(a)
+        rewards.append(r)
     if ou is None:
         ys = states[:-1]
     else:
@@ -374,24 +387,36 @@ def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 # file formats.  Every CSV file the package writes goes through write_csv.
 
+def _csv_lines(header, rows, comments):
+    yield from (f"# {line}\n" for line in comments)
+    yield ",".join(header) + "\n"
+    template = ",".join(["%s"] * len(header)) + "\n"
+    for row in rows:
+        yield template % tuple(row)
+
+
 def csv_text(header, rows, comments=()) -> str:
     """'# ' comment lines, the header, then one line per row.
 
-    Values are written with str(); callers pass Python scalars (tolist()),
-    so a float is written as its shortest repr and reads back exactly.
+    Values are written with str() (the %s of the row template), one per
+    header column; callers pass Python scalars (tolist()), so a float is
+    written as its shortest repr and reads back exactly.
     """
-    lines = [f"# {line}" for line in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(header, rows, comments))
 
 
 def write_csv(path, header, rows, comments=()) -> None:
-    """Write csv_text to a sibling .tmp file, then replace path with it, so
-    a reader never sees a partly written file."""
+    """Stream csv_text's lines into a sibling .tmp file, then replace path
+    with it, so a reader never sees a partly written file; a write that
+    fails removes the .tmp file and leaves path as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(csv_text(header, rows, comments))
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(_csv_lines(header, rows, comments))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -109,24 +109,27 @@ def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
                 f"{2.0 * p.k_const / t0:.6f}")
         terms.append((float(denom ** 2), float(deltas[e] + p.k_const / t0)))
     k_star = profiles[e_star].k_const
-    bounds = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        total = 0.0
-        for square, weight in terms:
-            pulls = 32.0 * math.log(n) / square + 1.0 + math.pi ** 2 / 3.0
-            total += pulls * weight
-        if c > 0:
-            total += k_star * _harmonic_bound(t0, c, n)
-        else:
-            total += k_star * n / t0
-        bounds[i] = total
-    return bounds
+    n = np.asarray(ns, dtype=float)
+    small = np.flatnonzero(n < 1)
+    if small.size:
+        raise ValueError(f"n must be >= 1, got {ns[small[0]]}")
+    # the scalar formula's IEEE operations, in its order, one array at a
+    # time; math.log, not np.log, which may differ in the last bit
+    log_n = np.array(list(map(math.log, n.tolist())))
+    total = np.zeros(len(n))
+    for square, weight in terms:
+        pulls = 32.0 * log_n / square + 1.0 + math.pi ** 2 / 3.0
+        total += pulls * weight
+    if c > 0:
+        total += k_star * _harmonic_bound(t0, c, n)
+    else:
+        total += k_star * n / t0
+    return total
 
 
-def _harmonic_bound(t0: int, c: float, n: int) -> float:
-    """Upper bound on sum_{m<n} 1/T_m for a growing schedule, n >= 1.
+def _harmonic_bound(t0: int, c: float, n: np.ndarray) -> np.ndarray:
+    """Upper bound on sum_{m<n} 1/T_m for a growing schedule, at each n >= 1
+    of the array n.
 
     The bound is 1/T0 + (1/c) ln((T0 - 1/2 + c(n - 1)) / (T0 - 1/2)) and
     holds for every n >= 1 with no further slack.  The m = 0 summand is
@@ -136,8 +139,9 @@ def _harmonic_bound(t0: int, c: float, n: int) -> float:
     f(m) <= integral of f over [m - 1, m], and summing over m = 1..n-1
     gives the logarithm.  The bound only exists for growing schedules.
     """
-    return 1.0 / t0 + (1.0 / c) * math.log((t0 - 0.5 + c * (n - 1))
-                                           / (t0 - 0.5))
+    ratio = (t0 - 0.5 + c * (n - 1)) / (t0 - 0.5)
+    return 1.0 / t0 + (1.0 / c) * np.array(list(map(math.log,
+                                                     ratio.tolist())))
 
 
 def aggregate_runs(curves) -> tuple[np.ndarray, np.ndarray]:

@@ -3,15 +3,18 @@
 None of these runs in the package itself: each is either an exact,
 slow form of what the package certifies (the expected finite-horizon
 average, the exact harmonic sum of the horizons, the expected-pull form of
-the regret bound) or a fit the acceptance criteria read off a curve.
+the regret bound), a fit the acceptance criteria read off a curve, or a
+plain per-item form of a loop the package runs in blocks or by template
+(the selection loop, the CSV rows).
 """
 
 import math
 
 import numpy as np
 
-from mdpbandit.bandit import horizon
+from mdpbandit.bandit import BanditState, RunLog, horizon, ucb_selector
 from mdpbandit.chains import MixingProfile, gaps, induced_chain
+from mdpbandit.mdp import run_expert, sample_initial_state
 from mdpbandit.regret import ucb_regret_bounds
 
 
@@ -89,3 +92,52 @@ def log_linear_fit(n, y) -> tuple[float, float, float]:
     else:
         r2 = 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
+
+
+def reference_run_mab(mdp, experts, profiles, schedule, selector=None,
+                      iterations=1, rng=None, events=()):
+    """run_mab as one run_expert call per pull, each drawing its own
+    uniforms: the loop the blocked draws of run_mab must replay exactly."""
+    if selector is None:
+        selector = ucb_selector([p.k_const for p in profiles])
+    pending = sorted(events, key=lambda ev: ev[0])
+    state = BanditState.fresh(len(experts))
+    s = sample_initial_state(mdp, rng)
+    columns = {"chosen": [], "hors": [], "starts": [], "rewards": [],
+               "t_start": []}
+    current, elapsed = mdp, 0
+    for n in range(iterations):
+        while pending and pending[0][0] <= n:
+            current = pending.pop(0)[1]
+        T = horizon(schedule, n)
+        e = selector(state, schedule)
+        columns["starts"].append(s)
+        columns["t_start"].append(elapsed)
+        avg, s, _ = run_expert(current, experts[e], s, T, rng, record=False)
+        columns["chosen"].append(e)
+        columns["hors"].append(T)
+        columns["rewards"].append(avg)
+        state.sums[e] += avg
+        state.pulls[e] += 1
+        state.n += 1
+        elapsed += T
+    meta = {"t0": schedule.t0, "c": schedule.slope, "iterations": iterations}
+    if events:
+        meta["events"] = ";".join(str(w) for w, _ in
+                                  sorted(events, key=lambda ev: ev[0]))
+    if pending:
+        meta["unfired_events"] = ",".join(str(w) for w, _ in pending)
+    return RunLog(experts=np.array(columns["chosen"], dtype=np.int64),
+                  horizons=np.array(columns["hors"], dtype=np.int64),
+                  start_states=np.array(columns["starts"], dtype=np.int64),
+                  avg_rewards=np.array(columns["rewards"]),
+                  t_start=np.array(columns["t_start"], dtype=np.int64),
+                  meta=meta)
+
+
+def joined_csv_text(header, rows, comments=()) -> str:
+    """CSV text with each row joined from str() of its values."""
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 """Horizon schedule, UCB index, selection loop, run logs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdpbandit import bandit
 from mdpbandit.bandit import (
     BanditState,
     HorizonSchedule,
@@ -18,9 +20,11 @@ from mdpbandit.bandit import (
     ucb_selector,
 )
 from mdpbandit.chains import MixingProfile
-from mdpbandit.mdp import ExpertPolicy, run_expert
+from mdpbandit.gridworld import permute_actions
+from mdpbandit.mdp import ExpertPolicy, FiniteMdp, run_expert
 
-from test_mdp import det_policy, make_mdp, one_state_mdp
+from oracles import reference_run_mab
+from test_mdp import det_policy, make_mdp, one_state_mdp, sparse_rows
 
 
 def nominal_profile(r=0.5, k=2.0):
@@ -333,6 +337,83 @@ def test_run_mab_matches_a_manual_replay():
         assert log.start_states[n] == s
         avg, s, _ = run_expert(mdp, experts[e], s, T, rng, record=False)
         assert log.avg_rewards[n] == avg
+
+
+def random_environment(g, S, A, V, blurred, spread_start):
+    """An MDP on S states and A actions with V-point rewards, observed
+    through a blurred kernel or exactly, started from one state or from a
+    law over all of them."""
+    return FiniteMdp(
+        n_states=S, n_actions=A, n_obs=S,
+        transition=sparse_rows(g, (S, A, S)),
+        reward_values=g.random((S, A, S, V)),
+        reward_probs=sparse_rows(g, (S, A, S, V), tenths=V >= 10),
+        observation=sparse_rows(g, (S, S)) if blurred else np.eye(S),
+        initial_dist=g.dirichlet(np.ones(S)) if spread_start
+        else np.eye(S)[g.integers(S)])
+
+
+@st.composite
+def mab_cases(draw):
+    """(run_mab arguments, uniforms per block): S 1-5, A 1-3; one-, two-
+    and twelve-point rewards; identity or blurred observations; a point
+    mass or a spread initial law; deterministic and eps-mixed experts;
+    constant and growing schedules; no event, a permutation event, or an
+    event installing another random MDP, which may change the draws a step
+    takes (reward support, observation kernel); UCB or a cycling selector."""
+    S, A = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mdp = random_environment(g, S, A, draw(st.sampled_from([1, 2, 12])),
+                             draw(st.booleans()), draw(st.booleans()))
+    experts = []
+    for _ in range(draw(st.integers(1, 3))):
+        pi = np.eye(A)[g.integers(0, A, size=S)]
+        if draw(st.booleans()):
+            eps = draw(st.sampled_from([0.05, 0.3, 1.0]))
+            pi = (1.0 - eps) * pi + eps / A
+        experts.append(ExpertPolicy(policy=pi))
+    schedule = HorizonSchedule(draw(st.integers(1, 6)),
+                               draw(st.sampled_from([0.0, 0.25, 1.0])))
+    iterations = draw(st.integers(1, 60))
+    events = []
+    for kind in draw(st.lists(st.sampled_from(["permutation", "mdp"]),
+                              max_size=2)):
+        when = draw(st.integers(0, iterations + 3))
+        if kind == "permutation":
+            events.append((when, permute_actions(
+                mdp, g.permutation(A).tolist())))
+        else:
+            events.append((when, random_environment(
+                g, S, A, draw(st.sampled_from([1, 2, 12])),
+                draw(st.booleans()), False)))
+    profiles = [nominal_profile(k=draw(st.sampled_from([0.0, 0.5, 2.0])))
+                for _ in experts]
+    selector = None
+    if draw(st.booleans()):
+        def selector(state, schedule):
+            return (3 * state.n + 1) % len(experts)
+    seed = draw(st.integers(0, 2**32 - 1))
+    block = draw(st.sampled_from([1, 5, 64, 4096]))
+    return (mdp, experts, profiles, schedule, selector, iterations, seed,
+            events), block
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mab_cases())
+def test_run_mab_replays_the_per_pull_loop(case):
+    (mdp, experts, profiles, schedule, selector, iterations, seed,
+     events), block = case
+    with mock.patch.object(bandit, "_BLOCK", block):
+        log = run_mab(mdp, experts, profiles, schedule, selector, iterations,
+                      np.random.default_rng(seed), events)
+    ref = reference_run_mab(mdp, experts, profiles, schedule, selector,
+                            iterations, np.random.default_rng(seed), events)
+    for name in ("experts", "horizons", "start_states", "avg_rewards",
+                 "t_start"):
+        got, want = getattr(log, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+    assert log.meta == ref.meta
 
 
 def test_run_mab_events_swap_the_environment():

@@ -747,6 +747,22 @@ def test_run_spec_asks_for_at_most_one_worker_per_seed(tmp_path,
             == (tmp_path / "serial" / name).read_bytes()
 
 
+def test_run_spec_runs_a_single_seed_in_process(tmp_path, monkeypatch):
+    # a pool of one process would fork and pickle for nothing
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-seed run started a process pool")
+
+    spec = tiny_spec(tmp_path, seeds=[3], out=str(tmp_path / "serial"))
+    run_spec(spec)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+    run_spec(replace(spec, out=str(tmp_path / "w2")), workers=2)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    for name in names:
+        assert (tmp_path / "w2" / name).read_bytes() \
+            == (tmp_path / "serial" / name).read_bytes()
+
+
 def nan_files(tmp_path):
     """The small two-state chain and its policy on disk, plus a copy of each
     with a NaN entry: (mdp, policy, nan mdp, nan policy)."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdpbandit.mdp import (
@@ -28,6 +28,8 @@ from mdpbandit.mdp import (
     validate_policy,
     write_csv,
 )
+
+from oracles import joined_csv_text
 
 
 def make_mdp(P, reward_table, initial=None, observation=None):
@@ -740,6 +742,44 @@ def test_write_csv_formats_with_str_and_replaces_the_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
     assert csv_text(("n", "value"), rows, ["seed=7"]) == path.read_text()
     assert csv_text(("a",), []) == "a\n"
+
+
+csv_values = st.one_of(
+    st.integers(-10**20, 10**20), st.floats(allow_nan=True), st.booleans(),
+    st.text(st.characters(blacklist_characters=",\n\r",
+                          blacklist_categories=("Cs",)), max_size=5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.lists(csv_values, min_size=width, max_size=width),
+              st.booleans()), max_size=8)),
+       st.lists(st.sampled_from(["seed=7", "t0=4", ""]), max_size=2))
+@example([([0, float("nan"), float("inf"), -0.0], False),
+          ([1e-05, 1e16, 0.1 + 0.2, True], True),
+          ([-float("inf"), "true", 7, 2.5], False)], ["seed=7"])
+def test_csv_rows_are_their_values_joined_with_str(rows, comments):
+    # the row template writes what ",".join(map(str, row)) wrote, for tuple
+    # and list rows alike
+    rows = [values if as_list else tuple(values) for values, as_list in rows]
+    width = len(rows[0]) if rows else 2
+    header = [f"c{j}" for j in range(width)]
+    want = joined_csv_text(header, rows, comments)
+    assert csv_text(header, rows, comments) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(path, header, iter(rows), comments)
+        assert path.read_text() == want
+        assert [p.name for p in Path(tmp).iterdir()] == ["rows.csv"]
+
+
+def test_write_csv_leaves_no_tmp_file_when_a_row_fails(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old contents\n")
+    with pytest.raises(TypeError):
+        write_csv(path, ("n", "value"), [(0, 0.5), (1, 0.25, "extra")])
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_policy_json_round_trip(tmp_path):

@@ -247,10 +247,10 @@ def test_ucb_regret_bound_monotone_in_n():
     sched = HorizonSchedule(16, 0.1)
     vals = [bound_at(profiles, sched, n) for n in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         bound_at(profiles, sched, 0)
-    with pytest.raises(ValueError):
-        ucb_regret_bounds(profiles, sched, [3, 0])
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got -2$"):
+        ucb_regret_bounds(profiles, sched, [3, -2, 0])
 
 
 def per_n_ucb_regret_bound(profiles, schedule, n):
@@ -287,10 +287,11 @@ def test_ucb_regret_bounds_equal_the_per_n_form(t0, c):
     profiles = [prof(0.5, 0.1), prof(0.74, 0.2), prof(0.03, 0.25),
                 prof(0.2, 0.3)]
     sched = HorizonSchedule(t0, c)
-    ns = range(1, 2001)
+    ns = range(1, 20001)
     expected = [per_n_ucb_regret_bound(profiles, sched, n) for n in ns]
     assert ucb_regret_bounds(profiles, sched, ns).tolist() == expected
-    assert [bound_at(profiles, sched, n) for n in ns] == expected
+    assert [bound_at(profiles, sched, n) for n in ns[:2000]] \
+        == expected[:2000]
 
 
 def test_ucb_regret_bounds_gap_error_message():
