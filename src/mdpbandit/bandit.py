@@ -45,8 +45,9 @@ class HorizonSchedule:
 
     def __post_init__(self):
         if not isinstance(self.t0, numbers.Integral) \
-                or isinstance(self.t0, bool) or self.t0 < 1:
-            raise ValueError(f"T0 must be a positive integer, got {self.t0!r}")
+                or isinstance(self.t0, bool) or not 1 <= self.t0 < 2**63:
+            raise ValueError(f"T0 must be a positive integer below 2**63, "
+                             f"got {self.t0!r}")
         if not (math.isfinite(self.slope) and self.slope >= 0):
             raise ValueError(f"need a finite slope >= 0, got {self.slope!r}")
 
@@ -187,6 +188,12 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not experts:
         raise ValueError("need at least one expert")
+    # T_n never decreases, so the last one is the longest; from 2**63 on, the
+    # int64 cast of the horizons would wrap it to a negative step count
+    longest = schedule.t0 + schedule.slope * (iterations - 1)
+    if longest >= 2**63:
+        raise ValueError(f"horizon T_{iterations - 1} = {longest:.6g} does "
+                         f"not fit a 64-bit step count")
     if rng is None:
         rng = np.random.default_rng()
     if selector is None:
@@ -218,8 +225,7 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
     rewards = np.zeros(iterations)
 
     # uniforms are drawn ahead in blocks, the stream per-pull draws make: a
-    # pull walks on T * width of them, then skips T, the observation draw,
-    # unless the MDP observes its states exactly
+    # pull walks on T * width of them
     block, i, live = [], 0, None
     sums, pulls = state.sums, state.pulls
     for n, T in enumerate(hors.tolist()):
@@ -227,20 +233,18 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
             mdp = pending.pop(0)[1]
         if mdp is not live:
             live, steppers = mdp, [_stepper(mdp, p) for p in experts]
-            skip = not steppers[0].identity_obs
         e = selector(state, schedule)
         if not 0 <= e < n_exp:
             raise ValueError(f"selector chose expert {e!r} at iteration {n}; "
                              f"expected an index in range({n_exp})")
         stepper = steppers[e]
-        take = T * stepper.width
-        end = i + take + T * skip
+        end = i + T * stepper.width
         if end > len(block):
             block = block[i:] + rng.random(
                 max(_BLOCK, end - len(block))).tolist()
             i, end = 0, end - i
         starts[n] = s
-        total, s = stepper.walk(s, block[i:i + take])
+        total, s = stepper.walk(s, block[i:end])
         i = end
         chosen[n] = e
         rewards[n] = avg = total / T

@@ -69,16 +69,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _spec_with_overrides(args) -> ExperimentSpec:
-    """The --config spec with the command-line overrides applied through
-    dataclasses.replace, so ExperimentSpec validates the result again."""
-    changes = {}
+def _spec_with_overrides(args, **changes) -> ExperimentSpec:
+    """The --config spec with the command-line overrides, and the changes
+    the command parsed itself, applied through dataclasses.replace, so
+    ExperimentSpec validates the result again."""
     if args.seed is not None:
         changes["seeds"] = [args.seed]
     if args.seeds is not None:
         changes["seeds"] = _parse_int_list(args.seeds, "--seeds")
-    if args.t0 is not None and not getattr(args, "t0_is_list", False):
-        changes["t0"] = int(args.t0)
     if args.c is not None:
         changes["c"] = args.c
     if args.iterations is not None:
@@ -98,14 +96,18 @@ def _print_summary(summary: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    spec = _spec_with_overrides(args)
+    changes = {}
+    if args.t0 is not None:
+        if "," in args.t0:
+            raise _UsageError("run takes a single --t0; use sweep for a list")
+        changes["t0"] = int(args.t0)
+    spec = _spec_with_overrides(args, **changes)
     summary = run_spec(spec, workers=args.workers)
     _print_summary(summary)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    args.t0_is_list = True
     spec = _spec_with_overrides(args)
     t0_values = _parse_int_list(args.t0, "--t0") if args.t0 \
         else list(DEFAULT_T0_SWEEP)
@@ -203,11 +205,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run" and args.t0 is not None:
-            if "," in args.t0:
-                raise _UsageError("run takes a single --t0; "
-                                  "use sweep for a list")
-            int(args.t0)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

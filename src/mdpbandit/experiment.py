@@ -24,7 +24,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +96,16 @@ class ExperimentSpec:
         _check(isinstance(self.events, list), "events must be a list",
                self.events)
         for ev in self.events:
+            # permute_actions checks that the list is a bijection
             _check(isinstance(ev, dict) and _is_int(ev.get("iteration"))
                    and ev["iteration"] >= 1
                    and ev.keys() - {"iteration"} in ({"permutation"}, {"mdp"})
-                   and isinstance(ev.get("mdp", ""), str),
+                   and isinstance(ev.get("mdp", ""), str)
+                   and isinstance(ev.get("permutation", []), list)
+                   and all(map(_is_int, ev.get("permutation", []))),
                    "an event needs an integer iteration >= 1 and exactly one "
-                   "of a permutation or an mdp file name", ev)
+                   "of a permutation (a list of integers) or an mdp file name",
+                   ev)
 
 
 def _check(ok: bool, message: str, value) -> None:
@@ -111,10 +115,6 @@ def _check(ok: bool, message: str, value) -> None:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-_SPEC_KEYS = {"label", "t0", "c", "iterations", "seeds", "out", "events",
-              "mdp", "experts", "layout", "bound_k"}
 
 
 def _resolve_path(base: Path, value):
@@ -134,10 +134,12 @@ def load_spec(path) -> ExperimentSpec:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a spec is a JSON object, got {doc!r}")
-    unknown = set(doc) - _SPEC_KEYS
+    keys = fields(ExperimentSpec)
+    unknown = set(doc) - {f.name for f in keys}
     if unknown:
         raise ValueError(f"{path}: unknown spec keys {sorted(unknown)}")
-    missing = {"label", "t0", "c", "iterations", "seeds", "out"} - set(doc)
+    missing = {f.name for f in keys if f.default is MISSING
+               and f.default_factory is MISSING} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing spec keys {sorted(missing)}")
     spec = ExperimentSpec(**doc)

@@ -6,14 +6,13 @@ sampling path is deliberately plain Python over precomputed cumulative rows:
 per step it does one bisect on a list of floats, which benchmarks far faster
 than any vectorized per-step alternative for the short horizons we run.
 
-RNG stream contract (what a seeded rollout of T steps consumes, in order):
-  1. T * d uniforms for the steps, d = 1 plus one per stochastic source
-     (policy, reward kernel), read step by step as (action draw, transition
-     draw, reward draw); a deterministic source reads 0.0 instead, which
-     picks the one entry of its row [1.0]
-  2. T uniforms for observations, only when the observation kernel is not
-     the identity; they come last so the state and reward stream never
-     depends on the kernel O
+RNG stream contract (what a seeded rollout of T steps consumes): T * d
+uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
+read step by step as (action draw, transition draw, reward draw); a
+deterministic source reads 0.0 instead, which picks the one entry of its
+row [1.0].  The experts act on states, so the observation kernel O is
+validated and kept in the file format but never sampled: the stream does
+not depend on O, nor on whether the rollout records.
 bandit.run_mab draws these values ahead, a few thousand at a time, which
 is the same stream: a run uses the same values in the same order, but the
 caller's generator may end past the last value the run used.
@@ -32,7 +31,8 @@ to exactly 1.0 > u.
 _Stepper.walk has a fast step loop for a deterministic policy with
 deterministic rewards and a general one for every other case; run_expert
 walks, or with record=True runs a recording copy of the general loop on the
-same draws, so the record flag never shifts what a seeded run draws.
+same draws and returns a Trajectory of the states, actions and rewards, so
+the record flag never shifts what a seeded run draws.
 
 FiniteMdp._tables maps None to the MDP's rows and id(policy) to that policy's
 stepper.  An entry counts only when its stepper holds that very policy: ids
@@ -111,10 +111,9 @@ class ExpertPolicy:
 
 @dataclass
 class Trajectory:
-    states: np.ndarray        # length T + 1, final state recorded
-    actions: np.ndarray       # length T
-    rewards: np.ndarray       # length T, each in [0, 1]
-    observations: np.ndarray  # length T, the observation acted on at step t
+    states: np.ndarray   # length T + 1, final state recorded
+    actions: np.ndarray  # length T
+    rewards: np.ndarray  # length T, each in [0, 1]
 
 
 def deterministic_reward(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +258,7 @@ class _Stepper:
     deterministic rewards, flat[s] is (cumulative mass, next states,
     rewards) of the one action."""
 
-    __slots__ = ("policy", "stoch_pol", "stoch_rew", "width", "identity_obs",
-                 "rows", "flat")
+    __slots__ = ("policy", "stoch_pol", "stoch_rew", "width", "rows", "flat")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy, mdp_rows: list):
         bad = validate_policy(policy, mdp)
@@ -273,9 +271,6 @@ class _Stepper:
         self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
         self.stoch_rew = mdp.reward_values.shape[-1] > 1
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
-        self.identity_obs = (mdp.n_obs == mdp.n_states
-                             and np.array_equal(mdp.observation,
-                                                np.eye(mdp.n_states)))
         self.flat = None
         if self.stoch_pol:
             self.rows = _compact(pi, mdp_rows)
@@ -345,9 +340,6 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
     stepper = _stepper(mdp, policy)
     uniforms = rng.random(T * stepper.width).tolist()
-    # drawn after the step draws, and drawn whether or not we record, so the
-    # state stream is independent of both O and the record flag
-    ou = None if stepper.identity_obs else rng.random(T)
     if not record:
         total, s = stepper.walk(s0, uniforms)
         return total / T, s, None
@@ -366,14 +358,9 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         states.append(s)
         actions.append(a)
         rewards.append(r)
-    if ou is None:
-        ys = states[:-1]
-    else:
-        obs_cdf = _cdf(mdp.observation).tolist()
-        ys = [bisect_right(obs_cdf[y], x) for y, x in zip(states, ou.tolist())]
     return total / T, s, Trajectory(
         states=np.asarray(states), actions=np.asarray(actions),
-        rewards=np.asarray(rewards), observations=np.asarray(ys))
+        rewards=np.asarray(rewards))
 
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:

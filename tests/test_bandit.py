@@ -1,6 +1,7 @@
 """Horizon schedule, UCB index, selection loop, run logs."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -44,10 +45,11 @@ def test_schedule_validation():
     # a fractional, boolean or non-numeric T0 and a non-finite slope would
     # otherwise surface only at the first horizon(), or give T_0 = 4.5
     for t0, slope in [(4.5, 0.0), (True, 0.0), ("4", 0.0), (4, math.nan),
-                      (4, math.inf)]:
+                      (4, math.inf), (2**63, 0.0), (10**400, 0.0)]:
         with pytest.raises(ValueError):
             HorizonSchedule(t0, slope)
     HorizonSchedule(1, 0.0)  # smallest legal schedule
+    HorizonSchedule(2**63 - 1, 0.0)  # largest T0 an int64 step count holds
     HorizonSchedule(np.int64(4), 0.5)
 
 
@@ -414,6 +416,61 @@ def test_run_mab_replays_the_per_pull_loop(case):
         assert got.dtype == want.dtype, name
         assert got.tolist() == want.tolist(), name
     assert log.meta == ref.meta
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mab_cases(),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 40),
+                          st.booleans()), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_the_observation_kernel_never_moves_the_stream(case, pulls,
+                                                       kernel_seed):
+    # the experts act on states, so nothing is drawn for observations: the
+    # same MDPs seen exactly or through a blurred kernel on S + 1
+    # observations give the same pulls, run logs and generator states
+    (mdp, experts, profiles, schedule, selector, iterations, seed,
+     events), _ = case
+    g = np.random.default_rng(kernel_seed)
+    blur = {id(m): g.dirichlet(np.ones(m.n_states + 1), size=m.n_states)
+            for m in [mdp] + [m for _, m in events]}
+
+    def observed(m, blurred):
+        kernel = blur[id(m)] if blurred else np.eye(m.n_states)
+        return replace(m, n_obs=kernel.shape[1], observation=kernel)
+
+    results = []
+    for blurred in (False, True):
+        env = observed(mdp, blurred)
+        rng = np.random.default_rng(seed)
+        s, seen = 0, []
+        for e, T, record in pulls:
+            avg, s, traj = run_expert(env, experts[e % len(experts)], s, T,
+                                      rng, record)
+            seen.append((avg, s, traj and (traj.states.tolist(),
+                                           traj.actions.tolist(),
+                                           traj.rewards.tolist())))
+        seen.append(rng.bit_generator.state)
+        log = run_mab(env, experts, profiles, schedule, selector, iterations,
+                      rng, [(w, observed(m, blurred)) for w, m in events])
+        seen += [getattr(log, name).tolist() for name in (
+            "experts", "horizons", "start_states", "avg_rewards", "t_start")]
+        seen += [log.meta, rng.bit_generator.state]
+        results.append(seen)
+    assert results[0] == results[1]
+
+
+def test_run_mab_rejects_a_horizon_past_int64_before_the_first_pull():
+    # cast to int64, T_2 = 2e300 wrapped to -2**63: the run finished with a
+    # negative T_n and avg_reward -0.0
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for slope in (1e300, 2.0**62 - 2):   # 4 + 2 (2**62 - 2) = 2**63
+        with pytest.raises(ValueError, match=r"horizon T_2 = .* does not "
+                           r"fit a 64-bit step count"):
+            run_mab(one_state_mdp([1.0]), [det_policy([0], 1)],
+                    [nominal_profile()], HorizonSchedule(4, slope),
+                    iterations=3, rng=rng)
+    assert rng.bit_generator.state == before
 
 
 def test_run_mab_events_swap_the_environment():

@@ -654,6 +654,14 @@ MALFORMED_FIELDS = {
     "event-misspelled-key": ("events", [{"iteration": 2,
                                          "permutation": [1, 0, 2, 3],
                                          "mpd": "swap.json"}]),
+    # unchecked, the first two end in a TypeError and an IndexError (exit
+    # 3), and the third runs as [1, 0, 2, 3]
+    "event-permutation-number": ("events", [{"iteration": 2,
+                                             "permutation": 5}]),
+    "event-permutation-float-entry": (
+        "events", [{"iteration": 2, "permutation": [1.0, 0, 2, 3]}]),
+    "event-permutation-bool-entries": (
+        "events", [{"iteration": 2, "permutation": [True, False, 2, 3]}]),
 }
 
 
@@ -672,6 +680,18 @@ def test_malformed_spec_field_exits_one(tmp_path, case):
     assert code == 1, err
     assert err.startswith("error: ") and key.rstrip("s") in err
     assert out == "" and not (tmp_path / "bad").exists()
+
+
+def test_a_horizon_past_int64_exits_one_before_the_first_pull(tmp_path):
+    # cast to int64, T_2 = 2e300 wrapped to -2**63: the run exited 0 and
+    # wrote T_n = -9223372036854775808 and avg_reward -0.0
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    out = tmp_path / "huge"
+    code, stdout, err = run_cli(["run", "--config",
+                                 str(tmp_path / "spec.json"), "--c", "1e300",
+                                 "--iterations", "3", "--out", str(out)])
+    assert code == 1 and "does not fit a 64-bit step count" in err
+    assert stdout == "" and not list(out.glob("*.csv"))
 
 
 def test_spec_file_must_be_an_object(tmp_path):

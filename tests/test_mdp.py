@@ -32,7 +32,7 @@ from mdpbandit.mdp import (
 from oracles import joined_csv_text
 
 
-def make_mdp(P, reward_table, initial=None, observation=None):
+def make_mdp(P, reward_table, initial=None):
     """Assemble a FiniteMdp from a transition tensor and a (S,A,S) mean-reward table."""
     P = np.asarray(P, dtype=float)
     S, A, _ = P.shape
@@ -40,17 +40,14 @@ def make_mdp(P, reward_table, initial=None, observation=None):
     if initial is None:
         initial = np.zeros(S)
         initial[0] = 1.0
-    if observation is None:
-        observation = np.eye(S)
-    observation = np.asarray(observation, dtype=float)
     return FiniteMdp(
         n_states=S,
         n_actions=A,
-        n_obs=observation.shape[1],
+        n_obs=S,
         transition=P,
         reward_values=values,
         reward_probs=probs,
-        observation=observation,
+        observation=np.eye(S),
         initial_dist=np.asarray(initial, dtype=float),
     )
 
@@ -205,7 +202,6 @@ def test_run_expert_two_state_cycle_alternates():
     np.testing.assert_array_equal(traj.states, [0, 1, 0])
     np.testing.assert_array_equal(traj.actions, [0, 0])
     np.testing.assert_array_equal(traj.rewards, [1.0, 0.0])
-    np.testing.assert_array_equal(traj.observations, [0, 1])
 
 
 def swap_or_stay():
@@ -289,7 +285,7 @@ def test_record_flag_does_not_shift_the_stream():
 
     assert (avg1_off, fin1_off) == (avg1_on, fin1_on)
     assert (avg2_off, fin2_off) == (avg2_on, fin2_on)
-    assert traj1.observations.shape == (33,)
+    assert traj1.states.shape == (34,)
 
 
 @st.composite
@@ -338,8 +334,7 @@ def test_record_flag_never_changes_the_rollout(case):
     assert rng_off.random() == rng_on.random()
     assert traj.states[0] == s0 and traj.states[-1] == fin_on
     assert len(traj.states) == T + 1
-    assert len(traj.actions) == len(traj.rewards) \
-        == len(traj.observations) == T
+    assert len(traj.actions) == len(traj.rewards) == T
     assert abs(traj.rewards.mean() - avg_on) <= 1e-12
 
 
@@ -358,8 +353,8 @@ def full_cdf(probs):
 
 def reference_run(mdp, policy, s0, T, rng, record):
     """run_expert over full rows: one bisect over every entry of a row, zero
-    mass included.  Returns (avg, final state, (states, actions, rewards,
-    observations) or None)."""
+    mass included.  Returns (avg, final state, (states, actions, rewards)
+    or None)."""
     cdf = full_cdf(mdp.transition).tolist()
     rvals = mdp.reward_values.tolist()
     rcdf = full_cdf(mdp.reward_probs).tolist()
@@ -387,15 +382,7 @@ def reference_run(mdp, policy, s0, T, rng, record):
             actions.append(a)
             rewards.append(r)
             s = j
-    identity = mdp.n_obs == mdp.n_states \
-        and np.array_equal(mdp.observation, np.eye(mdp.n_states))
-    ou = None if identity else rng.random(T).tolist()
-    if not record:
-        return total / T, s, None
-    obs_cdf = full_cdf(mdp.observation).tolist()
-    ys = states[:-1] if ou is None else [
-        bisect_right(obs_cdf[y], x) for y, x in zip(states, ou)]
-    return total / T, s, (states, actions, rewards, ys)
+    return total / T, s, (states, actions, rewards) if record else None
 
 
 def sparse_rows(g, shape, tenths=False):
@@ -490,9 +477,8 @@ def test_compact_rows_sample_what_full_rows_sample(case):
         assert (avg, s) == (ref_avg, ref_s)
         assert stream_state(rng) == stream_state(ref_rng)
         if record:
-            assert [traj.states.tolist(), traj.actions.tolist(),
-                    traj.rewards.tolist(), traj.observations.tolist()] \
-                == list(ref)
+            assert (traj.states.tolist(), traj.actions.tolist(),
+                    traj.rewards.tolist()) == ref
 
 
 def test_a_pickled_warm_cache_samples_the_same_stream():
@@ -836,19 +822,14 @@ def _draw_from(kernel):
         mdp = make_mdp(np.ones((1, n, 1)), np.zeros((1, n, 1)))
         policy = ExpertPolicy(policy=np.array([SHORT_ROW]))
         return int(run_expert(mdp, policy, 0, 1, rng)[2].actions[0])
-    if kernel == "reward":
-        mdp = one_state_mdp([0.0])
-        mdp.reward_values = np.linspace(0.0, 1.0, n).reshape(1, 1, 1, n)
-        mdp.reward_probs = np.array(SHORT_ROW).reshape(1, 1, 1, n)
-        avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 1, rng)
-        return int(round(avg * (n - 1)))
-    mdp = make_mdp(np.ones((1, 1, 1)), np.zeros((1, 1, 1)),
-                   observation=[SHORT_ROW])
-    return int(run_expert(mdp, det_policy([0], 1), 0, 1, rng)[2]
-               .observations[0])
+    mdp = one_state_mdp([0.0])
+    mdp.reward_values = np.linspace(0.0, 1.0, n).reshape(1, 1, 1, n)
+    mdp.reward_probs = np.array(SHORT_ROW).reshape(1, 1, 1, n)
+    avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 1, rng)
+    return int(round(avg * (n - 1)))
 
 
 @pytest.mark.parametrize("kernel", ["initial", "transition", "policy",
-                                    "reward", "observation"])
+                                    "reward"])
 def test_zero_mass_outcome_is_never_drawn(kernel):
     assert _draw_from(kernel) == 9
