@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_int_list(text: str, flag: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, "
                           f"got {text!r}") from None
@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
     if args.t0 is not None:
         if "," in args.t0:
             raise _UsageError("run takes a single --t0; use sweep for a list")
-        changes["t0"] = int(args.t0)
+        [changes["t0"]] = _parse_int_list(args.t0, "--t0")
     spec = _spec_with_overrides(args, **changes)
     summary = run_spec(spec, workers=args.workers)
     _print_summary(summary)
@@ -109,8 +109,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_with_overrides(args)
-    t0_values = _parse_int_list(args.t0, "--t0") if args.t0 \
-        else list(DEFAULT_T0_SWEEP)
+    t0_values = list(DEFAULT_T0_SWEEP) if args.t0 is None \
+        else _parse_int_list(args.t0, "--t0")
     result = sweep_spec(spec, t0_values, workers=args.workers)
     for summary in result["runs"]:
         _print_summary(summary)

@@ -23,7 +23,7 @@ import json
 import math
 import numbers
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -204,16 +204,15 @@ def nominal_profiles(mdp, experts, bound_k: float = 2.0):
     return with_gaps(profiles)
 
 
-def _seed_task(payload):
-    (mdp, experts, profiles, schedule, iterations, events, seed,
-     out_dir, r_star) = payload
+def _seed_task(env, schedule, iterations, seed, out_dir):
+    mdp, experts, events, e_star, profiles = env
     rng = np.random.default_rng(seed)
     log = run_mab(mdp, experts, profiles, schedule, None, iterations, rng,
                   events)
     log.meta["seed"] = seed
     out = Path(out_dir)
     log.to_csv(out / f"runlog_seed{seed}.csv")
-    curve = cumulative_regret(log, r_star)
+    curve = cumulative_regret(log, profiles[e_star].steady_reward)
     vals = np.asarray(curve.values, dtype=float)
     write_csv(out / f"regret_seed{seed}.csv", ("n", "regret"),
               enumerate(vals.tolist()))
@@ -221,34 +220,27 @@ def _seed_task(payload):
     return vals, t, cum
 
 
-def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
-    """Run every seed of a spec, write per-seed and aggregate CSV files.
+class _InlinePool(Executor):
+    """The pool of a one-process run: submit runs the task at once."""
 
-    Emits runlog_seed<i>.csv and regret_seed<i>.csv per seed, plus
-    aggregate.csv (n, mean_regret, std_regret, theory_bound) and
-    reward_time.csv (t, mean_cumulative_reward).  Returns a summary dict.
-    """
-    _check(workers >= 1, "workers must be >= 1", workers)
-    mdp, experts, events = resolve_environment(spec)
-    e_star, profiles = nominal_profiles(mdp, experts, spec.bound_k)
-    r_star = profiles[e_star].steady_reward
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _start(spec, env, pool) -> list:
+    """Create spec.out and submit its seeds' tasks; their futures."""
     schedule = HorizonSchedule(spec.t0, spec.c)
-    out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(spec.out).mkdir(parents=True, exist_ok=True)
+    return [pool.submit(_seed_task, env, schedule, spec.iterations, seed,
+                        spec.out) for seed in spec.seeds]
 
-    payloads = [(mdp, experts, profiles, schedule, spec.iterations, events,
-                 seed, str(out), r_star) for seed in spec.seeds]
-    # results come back in spec order either way (pool.map keeps it), so
-    # the aggregate is identical however the seeds ran; a pool of one
-    # process would only fork and pickle
-    processes = min(workers, len(payloads))
-    if processes > 1:
-        with ProcessPoolExecutor(processes) as pool:
-            results = list(pool.map(_seed_task, payloads))
-    else:
-        results = [_seed_task(payload) for payload in payloads]
 
-    regrets, grids, cums = zip(*results)
+def _finish(spec, env, futures) -> dict:
+    """Aggregate the seeds in order and write the spec's aggregate files."""
+    _, _, events, e_star, profiles = env
+    regrets, grids, cums = zip(*(future.result() for future in futures))
     mean, std = aggregate_runs(regrets)
     # r(0) = 0 holds unconditionally; without the bound only n >= 1 is nan
     bound = np.full(spec.iterations + 1, np.nan)
@@ -258,48 +250,75 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
         bound_status = "events change the dynamics mid-run; bound not defined"
     else:
         try:
-            bound[1:] = ucb_regret_bounds(profiles, schedule,
+            bound[1:] = ucb_regret_bounds(profiles,
+                                          HorizonSchedule(spec.t0, spec.c),
                                           range(1, spec.iterations + 1))
         except GapTooSmallError as exc:
             bound_status = f"gap precondition failed ({exc})"
     if bound_status != "ok":
+        # past _run_specs and run_spec or sweep_spec, to their caller
         warnings.warn(f"{spec.label}: theory bound unavailable, "
-                      f"{bound_status}", stacklevel=2)
+                      f"{bound_status}", stacklevel=4)
+    out = Path(spec.out)
     write_aggregate_csv(out / "aggregate.csv", mean, std, bound)
 
     # the time grid depends only on the schedule, so every seed shares it
     write_reward_time_csv(out / "reward_time.csv", grids[0],
                           np.stack(cums).mean(axis=0))
 
-    return {
-        "label": spec.label,
-        "out": str(out),
-        "seeds": list(spec.seeds),
-        "r_star": float(r_star),
-        "best_expert": int(e_star),
-        "gaps": [float(p.gap) for p in profiles],
-        "bound_status": bound_status,
-        "mean_final_regret": float(mean[-1]),
-    }
+    return {"label": spec.label, "out": str(out), "seeds": list(spec.seeds),
+            "r_star": float(profiles[e_star].steady_reward),
+            "best_expert": int(e_star),
+            "gaps": [float(p.gap) for p in profiles],
+            "bound_status": bound_status, "mean_final_regret": float(mean[-1])}
+
+
+def _run_specs(specs, workers: int) -> list:
+    """Run specs that differ only in t0, label and out on one environment
+    and one pool: submit every seed, then finish each spec in order."""
+    _check(workers >= 1, "workers must be >= 1", workers)
+    mdp, experts, events = resolve_environment(specs[0])
+    env = (mdp, experts, events,
+           *nominal_profiles(mdp, experts, specs[0].bound_k))
+    # a pool of one process would only fork and pickle
+    processes = min(workers, sum(len(spec.seeds) for spec in specs))
+    with (ProcessPoolExecutor(processes) if processes > 1
+          else _InlinePool()) as pool:
+        try:
+            started = [_start(spec, env, pool) for spec in specs]
+            # map adds no frame under _finish's stacklevel (a comprehension
+            # does before Python 3.12)
+            return list(map(_finish, specs, [env] * len(specs), started))
+        except BaseException:  # else leaving waits for every queued seed
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def run_spec(spec: ExperimentSpec, workers: int = 1) -> dict:
+    """Run every seed of a spec, write per-seed and aggregate CSV files.
+
+    Emits runlog_seed<i>.csv and regret_seed<i>.csv per seed, plus
+    aggregate.csv (n, mean_regret, std_regret, theory_bound) and
+    reward_time.csv (t, mean_cumulative_reward).  Returns a summary dict.
+    The seeds share one pool of up to `workers` processes, one per seed.
+    """
+    return _run_specs([spec], workers)[0]
 
 
 def sweep_spec(base: ExperimentSpec, t0_values, workers: int = 1) -> dict:
-    """One run_spec per T0 under base.out/t0_<v>, plus combined long-format
-    files aligned on n (regret) and t (reward)."""
+    """run_spec at each T0 under base.out/t0_<v>, plus combined long-format
+    files aligned on n (regret) and t (reward).  Every T0's spec is built
+    first; all share one resolved environment and one pool of workers."""
     t0_values = list(t0_values)
     if not t0_values:
         raise ValueError("empty T0 list")
-    if any(v < 1 for v in t0_values):
-        raise ValueError(f"T0 values must be positive, got {t0_values}")
     # a repeated T0 would run twice into the same t0_<v> directory and
     # write its rows of the combined files twice
     if len(set(t0_values)) != len(t0_values):
         raise ValueError(f"duplicate T0 values in {t0_values}")
-    summaries = []
-    for v in t0_values:
-        sub = replace(base, t0=v, label=f"{base.label}-t0-{v}",
-                      out=str(Path(base.out) / f"t0_{v}"))
-        summaries.append(run_spec(sub, workers=workers))
+    summaries = _run_specs([replace(base, t0=v, label=f"{base.label}-t0-{v}",
+                                    out=str(Path(base.out) / f"t0_{v}"))
+                            for v in t0_values], workers)
 
     base_out = Path(base.out)
     for name, combined in (("aggregate.csv", "combined.csv"),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -319,6 +320,33 @@ def test_two_workers_write_the_serial_files_byte_for_byte(data):
                 == (Path(pooled.out) / name).read_bytes(), name
 
 
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(st.data())
+def test_a_pooled_sweep_writes_the_serial_files_byte_for_byte(data):
+    # one pool runs every (T0, seed) task, and the T0s are aggregated while
+    # later seeds still run; no file may tell
+    with tempfile.TemporaryDirectory() as tmp:
+        base = data.draw(small_specs(Path(tmp)))
+        t0_values = data.draw(st.lists(st.integers(1, 16), min_size=2,
+                                       max_size=3, unique=True))
+        pooled = replace(base, out=str(Path(tmp) / "pool"))
+        with warnings.catch_warnings():
+            # events and small gaps blank the bound with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            sweep_spec(base, t0_values)
+            sweep_spec(pooled, t0_values, workers=2)
+        names = sorted(p.relative_to(base.out).as_posix()
+                       for p in Path(base.out).rglob("*") if p.is_file())
+        assert names == sorted(
+            p.relative_to(pooled.out).as_posix()
+            for p in Path(pooled.out).rglob("*") if p.is_file())
+        # per T0: two files per seed and the two aggregates; two combined
+        assert len(names) == len(t0_values) * (2 * len(base.seeds) + 2) + 2
+        for name in names:
+            assert (Path(base.out) / name).read_bytes() \
+                == (Path(pooled.out) / name).read_bytes(), name
+
+
 def test_run_spec_gap_failure_blanks_the_bound(tmp_path):
     # two experts with identical behavior: the runner-up's gap is zero, the
     # logarithmic bound has no denominator to work with
@@ -397,11 +425,13 @@ def test_sweep_rejects_bad_t0_lists(tmp_path):
     base = tiny_spec(tmp_path)
     with pytest.raises(ValueError, match="empty"):
         sweep_spec(base, [])
-    with pytest.raises(ValueError, match="positive"):
-        sweep_spec(base, [4, 0])
+    # each T0's spec is built, and so checked, before anything is written
+    with pytest.raises(ValueError, match="t0 must be an integer >= 1"):
+        sweep_spec(replace(base, out=str(tmp_path / "zero")), [4, 0])
     with pytest.raises(ValueError, match="duplicate T0"):
         sweep_spec(replace(base, out=str(tmp_path / "dup")), [8, 8])
     assert not (tmp_path / "dup").exists()
+    assert not (tmp_path / "zero").exists()
 
 
 def test_duplicate_t0_values_in_a_sweep_exit_one(tmp_path):
@@ -413,6 +443,40 @@ def test_duplicate_t0_values_in_a_sweep_exit_one(tmp_path):
                                  str(tmp_path / "spec.json"), "--t0", "8,8",
                                  "--out", str(out)])
     assert code == 1 and "duplicate T0 values" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_bound_warnings_point_at_the_public_caller(tmp_path):
+    # twin experts: every run warns that the gap precondition fails
+    layout = tmp_path / "twins.grid"
+    layout.write_text(STRIP + "permutation = 0 1 2 3\n"
+                              "permutation = 1 0 2 3\n")
+    spec = tiny_spec(tmp_path, layout=str(layout), iterations=6)
+    with pytest.warns(UserWarning) as caught:
+        run_spec(spec)
+        sweep_spec(replace(spec, out=str(tmp_path / "sweep")), [4, 8])
+    assert [str(w.message).split(":")[0] for w in caught] \
+        == ["tiny", "tiny-t0-4", "tiny-t0-8"]
+    assert [w.filename for w in caught] == [__file__] * 3
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--t0", ""),
+    ("sweep", "--t0", "4,,8"),
+    ("sweep", "--t0", "4,"),
+    ("run", "--seeds", "1,,2"),
+    ("run", "--t0", "abc"),
+])
+def test_malformed_integer_lists_exit_one(tmp_path, command, flag, value):
+    # unchecked, sweep --t0 "" ran the default sweep, empty items were
+    # dropped, and run --t0 abc reported int()'s message without the flag
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    out = tmp_path / "override"
+    code, stdout, err = run_cli([command, "--config",
+                                 str(tmp_path / "spec.json"), flag, value,
+                                 "--out", str(out)])
+    assert code == 1
+    assert f"{flag} expects comma-separated integers, got {value!r}" in err
     assert stdout == "" and not out.exists()
 
 
@@ -753,8 +817,10 @@ def test_run_spec_asks_for_at_most_one_worker_per_seed(tmp_path,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
     spec = tiny_spec(tmp_path, seeds=[0, 1], out=str(tmp_path / "pool"))
@@ -781,6 +847,102 @@ def test_run_spec_runs_a_single_seed_in_process(tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / "w2" / name).read_bytes() \
             == (tmp_path / "serial" / name).read_bytes()
+
+
+class _LazyFuture(Future):
+    """A future whose task runs when its result is first asked for."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.task = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.task
+            try:
+                self.set_result(fn(*args))
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class QueuedPool:
+    """A stand-in pool whose workers have not reached a task until its
+    result is asked for; shutdown(cancel_futures=True) cancels the rest."""
+
+    def __init__(self, max_workers=None):
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.futures.append(_LazyFuture(fn, args))
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        for future in self.futures if cancel_futures else ():
+            future.cancel()
+
+
+def test_a_sweep_resolves_once_and_starts_one_pool(tmp_path, monkeypatch):
+    # 3 T0 values x 2 seeds are six tasks for one pool of two processes
+    asked = []
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        return QueuedPool(max_workers)
+
+    base = tiny_spec(tmp_path, seeds=[0, 1], out=str(tmp_path / "serial"))
+    sweep_spec(base, [4, 6, 8])
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
+    with mock.patch.object(experiment, "resolve_environment",
+                           wraps=resolve_environment) as resolve, \
+            mock.patch.object(experiment, "nominal_profiles",
+                              wraps=nominal_profiles) as nominal:
+        sweep_spec(replace(base, out=str(tmp_path / "pool")), [4, 6, 8],
+                   workers=2)
+    assert asked == [2]
+    assert resolve.call_count == 1 and nominal.call_count == 1
+    names = sorted(p.relative_to(tmp_path / "serial").as_posix()
+                   for p in (tmp_path / "serial").rglob("*") if p.is_file())
+    assert len(names) == 3 * (2 * 2 + 2) + 2
+    for name in names:
+        assert (tmp_path / "pool" / name).read_bytes() \
+            == (tmp_path / "serial" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_seed_task_stops_the_sweep(tmp_path, monkeypatch, workers):
+    # the error reaches the caller, and no task queued behind it runs: the
+    # one-process pool never submits them, a real pool cancels them
+    ran, pools = [], []
+    seed_task = experiment._seed_task
+
+    def failing_task(env, schedule, iterations, seed, out_dir):
+        ran.append((schedule.t0, seed))
+        if (schedule.t0, seed) == (6, 0):
+            raise RuntimeError("seed task failed")
+        return seed_task(env, schedule, iterations, seed, out_dir)
+
+    def pool(max_workers):
+        pools.append(QueuedPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(experiment, "_seed_task", failing_task)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
+    base = tiny_spec(tmp_path, seeds=[0, 1])
+    with pytest.raises(RuntimeError, match="seed task failed"):
+        sweep_spec(base, [4, 6, 8], workers=workers)
+    assert ran == [(4, 0), (4, 1), (6, 0)]
+    if workers > 1:
+        assert [f.cancelled() for f in pools[0].futures] \
+            == [False] * 3 + [True] * 3
+    else:
+        assert pools == []
 
 
 def nan_files(tmp_path):
