@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import _stepper, sample_initial_state, write_csv
+from .mdp import _Stepper, sample_initial_state, write_csv
 
 __all__ = [
     "HorizonSchedule",
@@ -50,6 +50,18 @@ class HorizonSchedule:
                              f"got {self.t0!r}")
         if not (math.isfinite(self.slope) and self.slope >= 0):
             raise ValueError(f"need a finite slope >= 0, got {self.slope!r}")
+
+    def horizons(self, iterations: int) -> np.ndarray:
+        """T_0, ..., T_{iterations - 1} as int64, or ValueError when one
+        reaches 2**63, where the cast would wrap it to a negative count."""
+        # T_n never decreases, so the last one is the longest
+        longest = self.t0 + self.slope * (iterations - 1)
+        if longest >= 2**63:
+            raise ValueError(f"horizon T_{iterations - 1} = {longest:.6g} "
+                             f"does not fit a 64-bit step count")
+        # horizon(self, n) for every n: rint rounds half to even like round()
+        return np.maximum(self.t0, np.rint(
+            self.t0 + self.slope * np.arange(iterations))).astype(np.int64)
 
 
 def horizon(schedule: HorizonSchedule, n: int) -> int:
@@ -180,7 +192,9 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
 
     events is a list of (iteration, replacement FiniteMdp); each replacement
     is installed before its iteration's selection, and the environment state
-    survives the swap.  When selector is None a UCB selector is built from
+    survives the swap.  Each MDP, the starting one and every replacement
+    whether it fires or not, is checked against every expert before the
+    first draw, and ValueError names what does not fit.  When selector is None a UCB selector is built from
     the profiles' k_const fields.  Uniforms are drawn from rng ahead of use
     (the RNG stream contract in mdp), so rng may end past the last one used.
     """
@@ -188,12 +202,7 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not experts:
         raise ValueError("need at least one expert")
-    # T_n never decreases, so the last one is the longest; from 2**63 on, the
-    # int64 cast of the horizons would wrap it to a negative step count
-    longest = schedule.t0 + schedule.slope * (iterations - 1)
-    if longest >= 2**63:
-        raise ValueError(f"horizon T_{iterations - 1} = {longest:.6g} does "
-                         f"not fit a 64-bit step count")
+    hors = schedule.horizons(iterations)
     if rng is None:
         rng = np.random.default_rng()
     if selector is None:
@@ -201,22 +210,22 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
             raise ValueError("need profiles to build the default UCB selector")
         selector = ucb_selector([p.k_const for p in profiles])
 
-    pending = sorted(events, key=lambda ev: ev[0])
-    for when, replacement in pending:
+    events = sorted(events, key=lambda ev: ev[0])
+    for when, replacement in events:
         if (replacement.n_states, replacement.n_actions) \
                 != (mdp.n_states, mdp.n_actions):
             raise ValueError(
                 f"event at iteration {when}: replacement MDP has "
                 f"{replacement.n_states} states / {replacement.n_actions} "
                 f"actions, expected {mdp.n_states} / {mdp.n_actions}")
+    steppers = [_Stepper(mdp, p) for p in experts]
+    pending = [(when, [_Stepper(m, p) for p in experts])
+               for when, m in events]
 
     n_exp = len(experts)
     state = BanditState.fresh(n_exp)
     s = sample_initial_state(mdp, rng)
 
-    # horizon(schedule, n) for every n: rint rounds half to even like round()
-    hors = np.maximum(schedule.t0, np.rint(
-        schedule.t0 + schedule.slope * np.arange(iterations))).astype(np.int64)
     t_start = np.concatenate(([0], np.cumsum(hors[:-1])))
     # preallocated columns: lists would keep a Python float and int per pull
     # alive to the end of the run (+0.8 MB peak RSS over 20000 pulls)
@@ -226,13 +235,11 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
 
     # uniforms are drawn ahead in blocks, the stream per-pull draws make: a
     # pull walks on T * width of them
-    block, i, live = [], 0, None
+    block, i = [], 0
     sums, pulls = state.sums, state.pulls
     for n, T in enumerate(hors.tolist()):
         while pending and pending[0][0] <= n:
-            mdp = pending.pop(0)[1]
-        if mdp is not live:
-            live, steppers = mdp, [_stepper(mdp, p) for p in experts]
+            steppers = pending.pop(0)[1]
         e = selector(state, schedule)
         if not 0 <= e < n_exp:
             raise ValueError(f"selector chose expert {e!r} at iteration {n}; "
@@ -254,8 +261,7 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
 
     meta = {"t0": schedule.t0, "c": schedule.slope, "iterations": iterations}
     if events:
-        meta["events"] = ";".join(str(w) for w, _ in
-                                  sorted(events, key=lambda ev: ev[0]))
+        meta["events"] = ";".join(str(w) for w, _ in events)
     if pending:
         # events scheduled at or beyond the end never fired; record that
         meta["unfired_events"] = ",".join(str(w) for w, _ in pending)

@@ -73,8 +73,6 @@ def _spec_with_overrides(args, **changes) -> ExperimentSpec:
     """The --config spec with the command-line overrides, and the changes
     the command parsed itself, applied through dataclasses.replace, so
     ExperimentSpec validates the result again."""
-    if args.seed is not None:
-        changes["seeds"] = [args.seed]
     if args.seeds is not None:
         changes["seeds"] = _parse_int_list(args.seeds, "--seeds")
     if args.c is not None:
@@ -138,17 +136,17 @@ def cmd_bench(args) -> int:
         expert_files.append(name)
 
     from .gridworld import canonical_experiments
+    specs = canonical_experiments(out_dir=".")
     spec_files = []
-    for spec in canonical_experiments(out_dir="."):
+    for spec in specs:
         spec.layout = "benchmark.grid"
         name = ("perturbation.json" if spec.label == "perturbation"
                 else f"sweep_t0_{spec.t0}.json")
         save_spec(spec, out / name)
         spec_files.append(name)
-    base = ExperimentSpec(label="sweep", t0=4, c=0.1, iterations=5000,
-                          seeds=list(range(10)), out="./sweep",
-                          layout="benchmark.grid")
-    save_spec(base, out / "sweep_base.json")
+    # the first canonical spec is the sweep at its smallest T0
+    save_spec(replace(specs[0], label="sweep", out="./sweep"),
+              out / "sweep_base.json")
 
     print(f"benchmark materialized under {out}")
     print("  grid + mdp.json + " + ", ".join(expert_files))
@@ -180,8 +178,6 @@ def _build_parser() -> _Parser:
             ("sweep", cmd_sweep, "run a spec across several T0 values")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment spec JSON")
-        p.add_argument("--seed", type=int, help="replace the seed list with "
-                       "this single seed")
         p.add_argument("--seeds", help="comma-separated seed list override")
         p.add_argument("--t0", help="T0 override (run: one integer; "
                        "sweep: comma-separated list)")

@@ -277,6 +277,8 @@ def _run_specs(specs, workers: int) -> list:
     """Run specs that differ only in t0, label and out on one environment
     and one pool: submit every seed, then finish each spec in order."""
     _check(workers >= 1, "workers must be >= 1", workers)
+    for spec in specs:   # a horizon past int64 fails before anything is made
+        HorizonSchedule(spec.t0, spec.c).horizons(spec.iterations)
     mdp, experts, events = resolve_environment(specs[0])
     env = (mdp, experts, events,
            *nominal_profiles(mdp, experts, specs[0].bound_k))

@@ -18,15 +18,15 @@ is the same stream: a run uses the same values in the same order, but the
 caller's generator may end past the last value the run used.
 
 The sampler keeps each row on its positive entries only.  Per MDP, built
-once and shared by its experts, each (s, a) row holds the next states, their
-cumulative mass and their reward rows, each reward row on its support points
-of positive probability.  Per (MDP, expert), a stepper holds, for each state,
-the policy's cumulative row over the actions it takes and those actions' MDP
-rows; a deterministic policy has the row [1.0].  These rows draw what full
-rows would: bisect_right returns the first entry whose cumulative mass
-exceeds u, and a zero-mass entry repeats the value before it, so that entry
-has positive mass unless u lies past the last positive entry, which _cdf pins
-to exactly 1.0 > u.
+on first use and shared by its experts, each (s, a) row holds the next
+states, their cumulative mass and their reward rows, each reward row on its
+support points of positive probability.  Per (MDP, expert), a stepper holds,
+for each state, the policy's cumulative row over the actions it takes and
+those actions' MDP rows; a deterministic policy has the row [1.0].  These
+rows draw what full rows would: bisect_right returns the first entry whose
+cumulative mass exceeds u, and a zero-mass entry repeats the value before
+it, so that entry has positive mass unless u lies past the last positive
+entry, which _cdf pins to exactly 1.0 > u.
 
 _Stepper.walk has a fast step loop for a deterministic policy with
 deterministic rewards and a general one for every other case; run_expert
@@ -34,11 +34,12 @@ walks, or with record=True runs a recording copy of the general loop on the
 same draws and returns a Trajectory of the states, actions and rewards, so
 the record flag never shifts what a seeded run draws.
 
-FiniteMdp._tables maps None to the MDP's rows and id(policy) to that policy's
-stepper.  An entry counts only when its stepper holds that very policy: ids
-are reused once an object is freed, and a pickled cache (a pool worker's
-copy) arrives keyed by the sender's ids.  Building the rows runs validate_mdp
-and building a stepper runs validate_policy; either raises ValueError.
+The MDP's rows are cached on the instance.  A stepper costs little next
+to them and is not cached: run_expert builds one per call and
+bandit.run_mab one per (MDP, expert) before its first draw, so a policy
+edited between runs is sampled as edited.  Building the rows runs
+validate_mdp and building a stepper runs validate_policy; either raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import json
 import numbers
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -80,9 +82,9 @@ class FiniteMdp:
     reward_values / reward_probs have shape (S, A, S, V): support points in
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
     special case, see :func:`deterministic_reward`.  Instances are treated
-    as immutable after construction; the sampler caches its rows and one
-    stepper per expert on the instance, and dataclasses.replace starts the
-    copy without them.
+    as immutable after construction; the sampler caches the MDP's rows on
+    the instance (_rows), and dataclasses.replace starts the copy without
+    them.
     """
 
     n_states: int
@@ -93,8 +95,11 @@ class FiniteMdp:
     reward_probs: np.ndarray        # (S, A, S, V)
     observation: np.ndarray         # (S, Y)
     initial_dist: np.ndarray        # (S,)
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+
+    @cached_property
+    def _rows(self) -> list:
+        """The sampler's rows (see _mdp_rows), built on first use."""
+        return _mdp_rows(self)
 
     def mean_reward(self) -> np.ndarray:
         """Expected reward per (s, a, s'), shape (S, A, S)."""
@@ -258,14 +263,14 @@ class _Stepper:
     deterministic rewards, flat[s] is (cumulative mass, next states,
     rewards) of the one action."""
 
-    __slots__ = ("policy", "stoch_pol", "stoch_rew", "width", "rows", "flat")
+    __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat")
 
-    def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy, mdp_rows: list):
+    def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
+        mdp_rows = mdp._rows
         bad = validate_policy(policy, mdp)
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad))
         pi = policy.policy
-        self.policy = policy
         # one-hot detection is exact on purpose: a row with max 1.0 has no
         # other mass, so argmax is the whole distribution
         self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
@@ -314,17 +319,6 @@ class _Stepper:
         return total, s
 
 
-def _stepper(mdp: FiniteMdp, policy: ExpertPolicy) -> _Stepper:
-    """The cached stepper of (mdp, policy), built on first use."""
-    cache = mdp._tables
-    stepper = cache.get(id(policy))
-    if stepper is None or stepper.policy is not policy:
-        if None not in cache:
-            cache[None] = _mdp_rows(mdp)
-        stepper = cache[id(policy)] = _Stepper(mdp, policy, cache[None])
-    return stepper
-
-
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
                rng: np.random.Generator, record: bool = True):
     """Run one expert for T steps from s0; returns (avg_reward, final_state, trajectory).
@@ -338,7 +332,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 <= s0 < mdp.n_states:
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
-    stepper = _stepper(mdp, policy)
+    stepper = _Stepper(mdp, policy)
     uniforms = rng.random(T * stepper.width).tolist()
     if not record:
         total, s = stepper.walk(s0, uniforms)

@@ -25,7 +25,8 @@ from mdpbandit.gridworld import permute_actions
 from mdpbandit.mdp import ExpertPolicy, FiniteMdp, run_expert
 
 from oracles import reference_run_mab
-from test_mdp import det_policy, make_mdp, one_state_mdp, sparse_rows
+from test_mdp import det_policy, make_mdp, one_state_mdp, sparse_rows, \
+    swap_or_stay
 
 
 def nominal_profile(r=0.5, k=2.0):
@@ -504,6 +505,42 @@ def test_run_mab_event_dimension_mismatch():
         run_mab(mdp, [det_policy([0], 1)], [nominal_profile()],
                 HorizonSchedule(4, 0.0), iterations=5,
                 rng=np.random.default_rng(0), events=[(3, bad)])
+
+
+@pytest.mark.parametrize("when", [2, 5, 99])
+def test_run_mab_rejects_an_invalid_event_mdp_before_the_first_pull(when):
+    # an event's MDP was checked only when the event fired: after `when`
+    # selections, or never for an event at or past the last iteration
+    mdp = one_state_mdp([1.0])
+    leaky = replace(mdp, transition=np.full((1, 1, 1), 0.5))
+    calls = []
+
+    def selector(state, schedule):
+        calls.append(state.n)
+        return 0
+
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
+                       r"0\.5 at \(s=0, a=0\)"):
+        run_mab(mdp, [det_policy([0], 1)], None, HorizonSchedule(4, 0.0),
+                selector=selector, iterations=5, rng=rng,
+                events=[(when, leaky)])
+    assert calls == [] and rng.bit_generator.state == before
+
+
+def test_a_policy_edited_in_place_between_runs_samples_its_new_actions():
+    # a stepper cached per policy on the MDP kept the first run's actions
+    mdp, swap, stay = swap_or_stay()
+    expert = replace(swap, policy=swap.policy.copy())
+    runs = []
+    for pi in (swap.policy, stay.policy):
+        expert.policy[:] = pi
+        log = run_mab(mdp, [expert], [nominal_profile()],
+                      HorizonSchedule(2, 0.0), iterations=3,
+                      rng=np.random.default_rng(0))
+        runs.append(log.avg_rewards.tolist())
+    assert runs == [[0.5] * 3, [0.0] * 3]
 
 
 def test_run_mab_argument_validation():

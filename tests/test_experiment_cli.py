@@ -758,6 +758,32 @@ def test_a_horizon_past_int64_exits_one_before_the_first_pull(tmp_path):
     assert stdout == "" and not list(out.glob("*.csv"))
 
 
+def test_a_sweep_past_int64_exits_one_and_makes_no_directory(tmp_path):
+    # the check ran in each seed task, after every t0_<v> directory was
+    # made, so the sweep exited 1 and left three empty directories
+    save_spec(tiny_spec(tmp_path), tmp_path / "spec.json")
+    out = tmp_path / "huge"
+    code, stdout, err = run_cli(["sweep", "--config",
+                                 str(tmp_path / "spec.json"), "--t0",
+                                 "4,16,64", "--c", "1e300", "--iterations",
+                                 "3", "--workers", "2", "--out", str(out)])
+    assert code == 1 and "does not fit a 64-bit step count" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_bench_writes_the_sweep_base_it_always_wrote(tmp_path):
+    # sweep_base.json is derived from the first canonical spec; these are
+    # the bytes of the spec the command used to spell out for itself
+    code, _, _ = run_cli(["bench", "--out", str(tmp_path)])
+    assert code == 0
+    want = {"label": "sweep", "t0": 4, "c": 0.1, "iterations": 5000,
+            "seeds": list(range(10)), "out": "./sweep", "events": [],
+            "mdp": None, "experts": None, "layout": "benchmark.grid",
+            "bound_k": 2.0}
+    assert (tmp_path / "sweep_base.json").read_text() \
+        == json.dumps(want, indent=1) + "\n"
+
+
 def test_spec_file_must_be_an_object(tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
     code, _, err = run_cli(["run", "--config", str(tmp_path / "list.json")])

@@ -483,7 +483,7 @@ def test_compact_rows_sample_what_full_rows_sample(case):
 
 def test_a_pickled_warm_cache_samples_the_same_stream():
     # a pool worker receives the MDP together with its experts and the
-    # sampler cache built in the parent, keyed by the parent's ids
+    # sampler rows built in the parent
     g = np.random.default_rng(21)
     mdp = replace(random_mdp(g), observation=g.dirichlet(np.ones(4), size=4))
     experts = [ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4)),
@@ -491,7 +491,6 @@ def test_a_pickled_warm_cache_samples_the_same_stream():
     for expert in experts:
         run_expert(mdp, expert, 0, 1, np.random.default_rng(0), record=False)
     copy, copied = pickle.loads(pickle.dumps((mdp, experts)))
-    assert len(copy._tables) == len(mdp._tables) == 1 + len(experts)
     rng, copy_rng = np.random.default_rng(8), np.random.default_rng(8)
     s = copy_s = 0
     for k in range(12):
@@ -503,15 +502,15 @@ def test_a_pickled_warm_cache_samples_the_same_stream():
         assert rng.bit_generator.state == copy_rng.bit_generator.state
 
 
-def test_a_cache_entry_counts_only_for_its_own_policy():
-    # ids are reused once an object is freed, and a pickled cache keeps the
-    # sender's ids: an entry found under a policy's id but built for
-    # another policy must be rebuilt
+def test_a_policy_edited_in_place_samples_its_new_actions():
+    # a stepper cached per policy on the MDP kept sampling the old actions
     mdp, swap, stay = swap_or_stay()
     rng = np.random.default_rng(0)
-    assert run_expert(mdp, swap, 0, 2, rng, record=False)[0] == 0.5
-    mdp._tables[id(stay)] = mdp._tables[id(swap)]
-    assert run_expert(mdp, stay, 0, 2, rng, record=False)[0] == 0.0
+    for record in (False, True):
+        edited = replace(swap, policy=swap.policy.copy())
+        assert run_expert(mdp, edited, 0, 2, rng, record)[0] == 0.5
+        edited.policy[:] = stay.policy
+        assert run_expert(mdp, edited, 0, 2, rng, record)[0] == 0.0
 
 
 def test_run_expert_rejects_an_invalid_policy():
