@@ -18,7 +18,7 @@ from .bandit import BanditState, HorizonSchedule, RunLog, confidence_bound, \
     horizon, run_mab, select_ucb, ucb_selector
 from .chains import InducedChain, MixingProfile, NotErgodicError, \
     check_ergodicity, gaps, induced_chain, mixing_constants, profile_expert, \
-    slem, stationary_distribution, steady_state_reward, with_gaps
+    slem, stationary_distribution, steady_state_reward
 from .experiment import ExperimentSpec, load_spec, nominal_profiles, \
     run_spec, save_spec, sweep_spec
 from .gridworld import GridworldConfig, LayoutError, benchmark_config, \

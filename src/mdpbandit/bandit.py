@@ -12,12 +12,11 @@ experts, so its state and index are plain lists and floats, not numpy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import _Stepper, sample_initial_state, write_csv
+from .mdp import _is_int, _Stepper, sample_initial_state, write_csv
 
 __all__ = [
     "HorizonSchedule",
@@ -44,8 +43,7 @@ class HorizonSchedule:
     slope: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.t0, numbers.Integral) \
-                or isinstance(self.t0, bool) or not 1 <= self.t0 < 2**63:
+        if not _is_int(self.t0) or not 1 <= self.t0 < 2**63:
             raise ValueError(f"T0 must be a positive integer below 2**63, "
                              f"got {self.t0!r}")
         if not (math.isfinite(self.slope) and self.slope >= 0):

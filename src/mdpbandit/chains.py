@@ -11,7 +11,7 @@ steady-state reward, and the reward gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "gaps",
     "default_horizon",
     "profile_expert",
-    "with_gaps",
 ]
 
 class NotErgodicError(Exception):
@@ -49,7 +48,6 @@ class MixingProfile:
     mix_const: float      # C_e
     k_const: float        # K_e = C_e / (1 - alpha_e), exact by construction
     steady_reward: float  # R_bar^e
-    gap: float = 0.0      # Delta_e, filled in by with_gaps
 
 
 def induced_chain(mdp, policy) -> InducedChain:
@@ -256,16 +254,10 @@ def gaps(profiles: list[MixingProfile]) -> tuple[int, np.ndarray]:
     return e_star, rewards[e_star] - rewards
 
 
-def with_gaps(profiles: list[MixingProfile]) -> tuple[int, list[MixingProfile]]:
-    """Copies of the profiles with the gap field filled in."""
-    e_star, deltas = gaps(profiles)
-    return e_star, [replace(p, gap=float(d)) for p, d in zip(profiles, deltas)]
-
-
 def profile_expert(mdp, policy) -> MixingProfile:
-    """Full certified profile of one expert on one MDP (gap left at 0),
-    with the mixing scan run over default_horizon(alpha) steps.  The chain
-    is checked for ergodicity once, not once per step below."""
+    """Full certified profile of one expert on one MDP, with the mixing
+    scan run over default_horizon(alpha) steps.  The chain is checked for
+    ergodicity once, not once per step below."""
     chain = _require_ergodic(induced_chain(mdp, policy))
     mu = stationary_distribution(chain)
     alpha = slem(chain)

@@ -17,11 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chains import NotErgodicError, profile_expert, with_gaps
+from .chains import NotErgodicError, gaps, profile_expert
 from .experiment import ExperimentSpec, load_spec, run_spec, save_spec, \
     sweep_spec
 from .gridworld import DEFAULT_T0_SWEEP, benchmark_config, build_experts, \
-    build_gridworld, format_layout
+    build_gridworld, canonical_experiments, format_layout
 from .mdp import csv_text, load_mdp, load_policies, save_mdp, save_policy, \
     validate_mdp, write_csv
 from .regret import GapTooSmallError
@@ -56,12 +56,12 @@ def cmd_analyze(args) -> int:
         except NotErgodicError as exc:
             raise NotErgodicError(
                 f"expert {policy.expert_id} ({path}): {exc}") from None
-    _, profiles = with_gaps(profiles)
+    _, deltas = gaps(profiles)
     header = ("expert", "alpha", "C", "K", "R_bar", "Delta", "irreducible",
               "aperiodic")
     rows = [(policy.expert_id, float(p.slem), float(p.mix_const),
-             float(p.k_const), float(p.steady_reward), float(p.gap),
-             "true", "true") for policy, p in zip(policies, profiles)]
+             float(p.k_const), float(p.steady_reward), delta, "true", "true")
+            for policy, p, delta in zip(policies, profiles, deltas.tolist())]
     if args.out:
         write_csv(args.out, header, rows)
     else:
@@ -135,7 +135,6 @@ def cmd_bench(args) -> int:
         save_policy(policy, out / name)
         expert_files.append(name)
 
-    from .gridworld import canonical_experiments
     specs = canonical_experiments(out_dir=".")
     spec_files = []
     for spec in specs:

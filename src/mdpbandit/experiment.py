@@ -30,8 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import HorizonSchedule, run_mab
-from .chains import MixingProfile, induced_chain, stationary_distribution, \
-    steady_state_reward, with_gaps
+from .chains import MixingProfile, gaps, induced_chain, \
+    stationary_distribution, steady_state_reward
+from .gridworld import benchmark_config, build_experts, build_gridworld, \
+    load_layout, permute_actions
 from .mdp import _is_int, load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, aggregate_runs, cumulative_regret, \
     cumulative_reward_time, ucb_regret_bounds, write_aggregate_csv, \
@@ -169,8 +171,6 @@ def resolve_environment(spec: ExperimentSpec):
     Permutation events re-permute the original dynamics, not whatever an
     earlier event installed.
     """
-    from .gridworld import benchmark_config, build_experts, build_gridworld, \
-        load_layout, permute_actions
     if spec.mdp:
         mdp = load_mdp(spec.mdp)
         experts = load_policies(spec.experts, mdp)
@@ -201,7 +201,7 @@ def nominal_profiles(mdp, experts, bound_k: float = 2.0):
             stationary=mu, slem=0.0, mix_const=float(bound_k),
             k_const=float(bound_k),
             steady_reward=steady_state_reward(mdp, policy, mu)))
-    return with_gaps(profiles)
+    return gaps(profiles)[0], profiles
 
 
 def _seed_task(env, schedule, iterations, seed, out_dir):
@@ -269,7 +269,7 @@ def _finish(spec, env, futures) -> dict:
     return {"label": spec.label, "out": str(out), "seeds": list(spec.seeds),
             "r_star": float(profiles[e_star].steady_reward),
             "best_expert": int(e_star),
-            "gaps": [float(p.gap) for p in profiles],
+            "gaps": gaps(profiles)[1].tolist(),
             "bound_status": bound_status, "mean_final_regret": float(mean[-1])}
 
 

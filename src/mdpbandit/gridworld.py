@@ -201,9 +201,6 @@ def build_gridworld(config: GridworldConfig) -> FiniteMdp:
                             else config.p_slip / 3.0
                 # off-grid movement comes back in a random in-grid direction
                 off = sum(mass[d] for d in range(A) if d not in in_dirs)
-                for d in range(A):
-                    if d not in in_dirs:
-                        mass[d] = 0.0
                 share = off / len(in_dirs)
                 P[s, a, s] += stay
                 for d in in_dirs:

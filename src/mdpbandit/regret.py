@@ -46,11 +46,16 @@ class RegretCurve:
     r_star: float
 
 
+def _prefix_sums(values) -> np.ndarray:
+    """0, v_0, v_0 + v_1, ...: the running sums of values, in longdouble."""
+    return np.concatenate((np.zeros(1, dtype=np.longdouble),
+                           np.cumsum(np.asarray(values, dtype=np.longdouble))))
+
+
 def regret_from_rewards(avg_rewards, r_star: float) -> np.ndarray:
     """Prefix regret of a reward sequence, in longdouble, with r(0) = 0."""
-    rewards = np.asarray(avg_rewards, dtype=np.longdouble)
-    n = np.arange(len(rewards) + 1, dtype=np.longdouble)
-    sums = np.concatenate(([np.longdouble(0)], np.cumsum(rewards)))
+    sums = _prefix_sums(avg_rewards)
+    n = np.arange(len(sums), dtype=np.longdouble)
     return n * np.longdouble(r_star) - sums
 
 
@@ -77,11 +82,7 @@ def decomposition_terms(log, profiles):
     inc1 = np.asarray(deltas, dtype=np.longdouble)[chosen]
     inc2 = np.where(~is_opt, rbar[chosen] - rewards, np.longdouble(0))
     inc3 = np.where(is_opt, rbar[e_star] - rewards, np.longdouble(0))
-    zero = np.zeros(1, dtype=np.longdouble)
-    term1 = np.concatenate((zero, np.cumsum(inc1)))
-    term2 = np.concatenate((zero, np.cumsum(inc2)))
-    term3 = np.concatenate((zero, np.cumsum(inc3)))
-    return term1, term2, term3
+    return _prefix_sums(inc1), _prefix_sums(inc2), _prefix_sums(inc3)
 
 
 def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
@@ -170,8 +171,7 @@ def cumulative_reward_time(log) -> tuple[np.ndarray, np.ndarray]:
     t = np.concatenate(([0], log.t_start + log.horizons))
     step_totals = (np.asarray(log.avg_rewards, dtype=np.longdouble)
                    * np.asarray(log.horizons, dtype=np.longdouble))
-    cum = np.concatenate(([np.longdouble(0)], np.cumsum(step_totals)))
-    return t.astype(np.int64), cum.astype(float)
+    return t.astype(np.int64), _prefix_sums(step_totals).astype(float)
 
 
 def write_aggregate_csv(path, mean, std, bound) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mdpbandit.bandit import HorizonSchedule, RunLog, run_mab
-from mdpbandit.chains import profile_expert, with_gaps
+from mdpbandit.chains import gaps, profile_expert
 from mdpbandit.experiment import ExperimentSpec, nominal_profiles, run_spec
 from mdpbandit.gridworld import (
     BENCHMARK_EVENT_ITERATION,
@@ -49,8 +49,7 @@ def bench():
 def certified(bench):
     """Certified (alpha, C, K) profiles for the four benchmark experts."""
     profiles = [profile_expert(bench.mdp, expert) for expert in bench.experts]
-    e_star, profiles = with_gaps(profiles)
-    return e_star, profiles
+    return gaps(profiles)[0], profiles
 
 
 def _read_aggregate(path):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from mdpbandit.bandit import HorizonSchedule, horizon, run_mab
-from mdpbandit.chains import induced_chain, stationary_distribution
+from mdpbandit.chains import gaps, induced_chain, stationary_distribution
 from mdpbandit.regret import (
     GapTooSmallError,
     decomposition_terms,
@@ -118,7 +118,7 @@ def test_criterion_4_logarithmic_growth(bench, sweep_runs):
     ns = np.arange(2500, 5001)
     _, _, r2 = log_linear_fit(ns, data["mean"][2500:5001])
     rate = data["mean"][5000] / 5000.0
-    delta_max = max(p.gap for p in bench.profiles)
+    delta_max = gaps(bench.profiles)[1].max()
     ok = r2 >= 0.9 and rate <= 0.1 * delta_max and data["elapsed"] < 300.0
     report(4, ok, f"fit R^2 = {r2:.4f}, r(N)/N = {rate:.5f} vs "
                   f"0.1 Delta_max = {0.1 * delta_max:.5f}, "

@@ -22,7 +22,6 @@ from mdpbandit.chains import (
     slem,
     stationary_distribution,
     steady_state_reward,
-    with_gaps,
 )
 from mdpbandit.mdp import ExpertPolicy, run_expert
 
@@ -579,16 +578,6 @@ def test_gaps_single_expert_and_empty_list():
         gaps([])
 
 
-def test_with_gaps_fills_copies_and_leaves_originals():
-    profiles = [_profile_with_reward(r) for r in (0.2, 0.9)]
-    e_star, filled = with_gaps(profiles)
-    assert e_star == 1
-    assert filled[0].gap == pytest.approx(0.7)
-    assert filled[1].gap == 0.0
-    assert profiles[0].gap == 0.0  # input untouched
-    assert filled[0].steady_reward == profiles[0].steady_reward
-
-
 def test_profile_expert_two_state_certificate():
     mdp = two_state_mdp()
     prof = profile_expert(mdp, det_policy([0, 0], 1))
@@ -597,7 +586,6 @@ def test_profile_expert_two_state_certificate():
     assert prof.mix_const == 2.0
     assert prof.k_const == pytest.approx(2.0 / 0.3, abs=1e-9)
     assert prof.steady_reward == pytest.approx(1 / 3, abs=1e-8)
-    assert prof.gap == 0.0
 
 
 def test_profile_expert_averaged_bound_over_horizons():

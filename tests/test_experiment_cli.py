@@ -203,8 +203,9 @@ def test_nominal_profiles_uniform_constants(bench):
     for p in profiles:
         assert p.slem == 0.0
         assert p.mix_const == 3.5 and p.k_const == 3.5
-    assert profiles[0].gap == 0.0
-    assert all(p.gap > 0.6 for p in profiles[1:])
+    deltas = chains.gaps(profiles)[1]
+    assert deltas[0] == 0.0
+    assert all(deltas[1:] > 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +527,9 @@ def test_cli_bench_then_analyze_then_run_then_sweep(tmp_path):
     assert len(lines) == 5
     deltas = [float(ln.split(",")[5]) for ln in lines[1:]]
     assert sum(1 for d in deltas if d == 0.0) == 1
+    # Delta_e = R_bar* - R_bar_e, to the last bit
+    rbars = [float(ln.split(",")[4]) for ln in lines[1:]]
+    assert deltas == [max(rbars) - r for r in rbars]
     ks = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert all(k > 100 for k in ks)  # certified constants, not the nominal 2.0
 
