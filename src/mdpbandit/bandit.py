@@ -192,9 +192,10 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
     is installed before its iteration's selection, and the environment state
     survives the swap.  Each MDP, the starting one and every replacement
     whether it fires or not, is checked against every expert before the
-    first draw, and ValueError names what does not fit.  When selector is None a UCB selector is built from
-    the profiles' k_const fields.  Uniforms are drawn from rng ahead of use
-    (the RNG stream contract in mdp), so rng may end past the last one used.
+    first draw, and ValueError names what does not fit.  When selector is
+    None a UCB selector is built from the profiles' k_const fields.
+    Uniforms are drawn from rng ahead of use (the RNG stream contract in
+    mdp), so rng may end past the last one used.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

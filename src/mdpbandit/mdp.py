@@ -2,9 +2,10 @@
 package's file formats (MDP and policy JSON, and the one CSV writer).
 
 The simulator is the inner loop of everything else in this package, so the
-sampling path is deliberately plain Python over precomputed cumulative rows:
-per step it does one bisect on a list of floats, which benchmarks far faster
-than any vectorized per-step alternative for the short horizons we run.
+sampling path is deliberately plain Python over precomputed cumulative rows,
+which benchmarks far faster than any vectorized per-step alternative for the
+short horizons we run.  Per draw it tests one interval and bisects only when
+the draw falls outside it (see below).
 
 RNG stream contract (what a seeded rollout of T steps consumes): T * d
 uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
@@ -28,11 +29,22 @@ cumulative mass exceeds u, and a zero-mass entry repeats the value before
 it, so that entry has positive mass unless u lies past the last positive
 entry, which _cdf pins to exactly 1.0 > u.
 
+Each row the walk reads also carries the interval [lo, hi) = [cum[k-1],
+cum[k]) of its widest outcome k, cum[-1] read as 0.0, and the walk tests
+lo <= u < hi before it bisects.  On a compact row bisect_right(cum, u)
+returns k exactly when cum[k-1] <= u < cum[k], so a hit picks the outcome
+the bisect would pick and a miss runs the bisect: the test changes no
+draw's outcome, and no output byte.  The bench rows are lopsided (a normal
+cell moves the intended way with probability 0.97), so most draws hit.  The
+fast path keeps a split layout: per state a 4-field hot row (lo, hi, next
+state, reward), and the full row, read only on a miss.
+
 _Stepper.walk has a fast step loop for a deterministic policy with
-deterministic rewards and a general one for every other case; run_expert
-walks, or with record=True runs a recording copy of the general loop on the
-same draws and returns a Trajectory of the states, actions and rewards, so
-the record flag never shifts what a seeded run draws.
+deterministic rewards and a general one for every other case, and a
+stepper builds only the rows its loop reads.  run_expert walks, or with
+record=True runs a recording loop that bisects every draw, on the same
+draws, and returns a Trajectory of the states, actions and rewards, so the
+record flag never shifts what a seeded run draws.
 
 The MDP's rows are cached on the instance.  A stepper costs little next
 to them and is not cached: run_expert builds one per call and
@@ -257,13 +269,37 @@ def _mdp_rows(mdp: FiniteMdp) -> list:
     return rows
 
 
-class _Stepper:
-    """One expert's sampler on one MDP.  rows[s] is (cumulative mass, MDP
-    rows) over the actions taken in s; with a deterministic policy and
-    deterministic rewards, flat[s] is (cumulative mass, next states,
-    rewards) of the one action."""
+def _action_rows(mdp_rows: list, pi: np.ndarray, stoch_pol: bool) -> list:
+    """(cumulative mass, MDP rows) over the actions each state takes; a
+    deterministic policy has the row [1.0] and its argmax action."""
+    if stoch_pol:
+        return _compact(pi, mdp_rows)
+    return [([1.0], [row[a]])
+            for row, a in zip(mdp_rows, pi.argmax(axis=1).tolist())]
 
-    __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat")
+
+def _widest(cum: list) -> tuple:
+    """(lo, hi, k) of the widest interval [lo, hi) = [cum[k-1], cum[k]) of
+    a cumulative row, cum[-1] read as 0.0; the lowest k on ties."""
+    widths = [hi - lo for lo, hi in zip([0.0, *cum], cum)]
+    k = widths.index(max(widths))
+    return (cum[k - 1] if k else 0.0), cum[k], k
+
+
+class _Stepper:
+    """One expert's sampler on one MDP.
+
+    With a deterministic policy and deterministic rewards (the fast path),
+    hot[s] is (lo, hi, next state, reward) of the widest outcome of the one
+    action's row and flat[s] is that row, (cumulative mass, next states,
+    rewards).  Otherwise rows[s] is (lo, hi, j, cumulative mass, rows) over
+    the actions taken in s, each row (lo, hi, k, cumulative mass, next
+    states, reward rows) and each reward row (lo, hi, v, cumulative mass,
+    values); (lo, hi, index) is the row's widest interval (_widest).  A
+    deterministic source has the row [1.0], whose interval [0.0, 1.0) holds
+    the 0.0 it reads."""
+
+    __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat", "hot")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
         mdp_rows = mdp._rows
@@ -276,16 +312,22 @@ class _Stepper:
         self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
         self.stoch_rew = mdp.reward_values.shape[-1] > 1
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
-        self.flat = None
-        if self.stoch_pol:
-            self.rows = _compact(pi, mdp_rows)
+        plain = _action_rows(mdp_rows, pi, self.stoch_pol)
+        if self.stoch_pol or self.stoch_rew:
+            self.flat = self.hot = None
+            self.rows = [(*_widest(acum), acum, [
+                (*_widest(cum), cum, nxt,
+                 [(*_widest(rcum), rcum, vals) for rcum, vals in rew])
+                for _, cum, nxt, rew in arows])
+                for acum, arows in plain]
             return
-        taken = [row[a] for row, a in zip(mdp_rows,
-                                          pi.argmax(axis=1).tolist())]
-        self.rows = [([1.0], [row]) for row in taken]
-        if not self.stoch_rew:
-            self.flat = [(cum, nxt, [vals[0] for _, vals in rew])
-                         for _, cum, nxt, rew in taken]
+        self.rows = None
+        self.flat, self.hot = [], []
+        for _, ((_, cum, nxt, rew),) in plain:
+            lo, hi, k = _widest(cum)
+            rewards = [vals[0] for _, vals in rew]
+            self.flat.append((cum, nxt, rewards))
+            self.hot.append((lo, hi, nxt[k], rewards[k]))
 
     def draws(self, uniforms: list):
         """The (action, transition, reward) draw of each step; a
@@ -297,24 +339,35 @@ class _Stepper:
 
     def walk(self, s: int, uniforms: list) -> tuple:
         """Step from s on uniforms, width of them a step; returns (total
-        reward, final state)."""
+        reward, final state).  Each draw u is tested against its row's
+        widest interval first, and bisected only when it falls outside."""
         total = 0.0
-        if self.flat is not None:
+        if self.hot is not None:
             # fast path: deterministic policy and rewards, one uniform a step
-            rows = self.flat
+            hot, flat = self.hot, self.flat
             for x in uniforms:
-                cum, nxt, rew = rows[s]
-                k = bisect_right(cum, x)
-                total += rew[k]
-                s = nxt[k]
+                lo, hi, t, r = hot[s]
+                if lo <= x < hi:
+                    total += r
+                    s = t
+                else:
+                    cum, nxt, rew = flat[s]
+                    k = bisect_right(cum, x)
+                    total += rew[k]
+                    s = nxt[k]
             return total, s
         rows = self.rows
         for xa, xt, xr in self.draws(uniforms):
-            acum, arows = rows[s]
-            _, cum, nxt, rew = arows[bisect_right(acum, xa)]
-            k = bisect_right(cum, xt)
-            rcum, rvals = rew[k]
-            total += rvals[bisect_right(rcum, xr)]
+            lo, hi, j, acum, arows = rows[s]
+            if not lo <= xa < hi:
+                j = bisect_right(acum, xa)
+            lo, hi, k, cum, nxt, rew = arows[j]
+            if not lo <= xt < hi:
+                k = bisect_right(cum, xt)
+            lo, hi, v, rcum, rvals = rew[k]
+            if not lo <= xr < hi:
+                v = bisect_right(rcum, xr)
+            total += rvals[v]
             s = nxt[k]
         return total, s
 
@@ -338,7 +391,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         total, s = stepper.walk(s0, uniforms)
         return total / T, s, None
 
-    rows = stepper.rows
+    rows = _action_rows(mdp._rows, policy.policy, stepper.stoch_pol)
     total, s = 0.0, s0
     states, actions, rewards = [s0], [], []
     for xa, xt, xr in stepper.draws(uniforms):
@@ -406,6 +459,30 @@ def write_csv(path, header, rows, comments=()) -> None:
 #   initial
 # reward is {"values": nested S x A x S x V, "probs": same shape}.  Floats
 # serialize through repr so load(save(m)) reproduces every array bit for bit.
+# The loaders accept exactly the keys the savers write.
+
+_MDP_KEYS = {"states", "actions", "observations", "transition", "reward",
+             "observation_kernel", "initial"}
+_REWARD_KEYS = {"values", "probs"}
+_POLICY_KEYS = {"expert_id", "policy"}
+
+
+def _reject_unknown(path, doc, known: set) -> None:
+    """Raise ValueError naming the keys of a JSON object outside known;
+    any other value is left to the field checks."""
+    if isinstance(doc, dict) and doc.keys() - known:
+        raise ValueError(f"{path}: unknown keys {sorted(doc.keys() - known)}")
+
+
+def _read_json(path, known: set):
+    """The JSON document in path; see _reject_unknown."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    _reject_unknown(path, doc, known)
+    return doc
+
 
 def _to_jsonable(mdp: FiniteMdp) -> dict:
     return {
@@ -425,11 +502,9 @@ def save_mdp(mdp: FiniteMdp, path) -> None:
 
 
 def load_mdp(path) -> FiniteMdp:
+    doc = _read_json(path, _MDP_KEYS)
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    try:
+        _reject_unknown(path, doc["reward"], _REWARD_KEYS)
         mdp = FiniteMdp(
             n_states=_int_field(doc, "states"),
             n_actions=_int_field(doc, "actions"),
@@ -454,10 +529,7 @@ def save_policy(policy: ExpertPolicy, path) -> None:
 
 
 def load_policy(path) -> ExpertPolicy:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _read_json(path, _POLICY_KEYS)
     try:
         return ExpertPolicy(policy=np.asarray(doc["policy"], dtype=float),
                             expert_id=_int_field(doc, "expert_id"))
@@ -467,12 +539,17 @@ def load_policy(path) -> ExpertPolicy:
 
 def load_policies(paths, mdp: FiniteMdp) -> list:
     """load_policy for each path; a policy validate_policy rejects against
-    mdp raises ValueError naming its file."""
-    policies = []
+    mdp, or an expert_id an earlier file holds, raises ValueError naming
+    the file (and that earlier file)."""
+    policies, seen = [], {}
     for path in paths:
         policy = load_policy(path)
         bad = validate_policy(policy, mdp)
         if bad:
             raise ValueError(f"{path}: invalid policy: " + "; ".join(bad))
+        if policy.expert_id in seen:
+            raise ValueError(f"{path}: expert_id {policy.expert_id} is also "
+                             f"the expert_id of {seen[policy.expert_id]}")
+        seen[policy.expert_id] = path
         policies.append(policy)
     return policies

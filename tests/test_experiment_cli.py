@@ -1006,6 +1006,45 @@ def test_cli_non_finite_inputs_exit_one(tmp_path, bad):
     assert code == 1 and what in err
 
 
+@pytest.mark.parametrize("name, key", [("m.json", "discount"),
+                                       ("p.json", "epsilon")])
+def test_cli_an_unknown_file_key_exits_one(tmp_path, name, key):
+    mdp, pol, _, _ = nan_files(tmp_path)
+    doc = json.loads((tmp_path / name).read_text())
+    (tmp_path / name).write_text(json.dumps({**doc, key: 0.2}))
+    code, _, err = run_cli(["analyze", str(mdp), str(pol)])
+    assert code == 1
+    assert f"{name}: unknown keys ['{key}']" in err
+
+
+def test_cli_analyze_rejects_a_repeated_expert_id(tmp_path):
+    # two rows with one id cannot be told apart in the output
+    mdp, pol, _, _ = nan_files(tmp_path)
+    save_policy(det_policy([0, 0], 1, expert_id=3), tmp_path / "q.json")
+    save_policy(det_policy([0, 0], 1, expert_id=3), tmp_path / "r.json")
+    for experts, eid in (([pol, pol], 0),
+                         ([tmp_path / "q.json", pol, tmp_path / "r.json"], 3)):
+        code, out, err = run_cli(["analyze", str(mdp), *map(str, experts)])
+        assert code == 1 and out == ""
+        assert (f"{experts[-1]}: expert_id {eid} is also the expert_id of "
+                f"{experts[0]}") in err
+
+
+def test_cli_run_rejects_a_repeated_expert_id(tmp_path):
+    mdp, _, _, _ = nan_files(tmp_path)
+    save_policy(det_policy([0, 0], 1, expert_id=1), tmp_path / "q.json")
+    save_policy(det_policy([0, 0], 1, expert_id=1), tmp_path / "r.json")
+    doc = {"label": "twice", "t0": 4, "c": 0.0, "iterations": 5,
+           "seeds": [0], "out": "o", "mdp": mdp.name,
+           "experts": ["q.json", "r.json"]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(["run", "--config", str(tmp_path / "spec.json")])
+    assert code == 1
+    assert (f"{tmp_path / 'r.json'}: expert_id 1 is also the expert_id of "
+            f"{tmp_path / 'q.json'}") in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_checks_policies_against_the_mdp(tmp_path):
     mdp, _, _, _ = nan_files(tmp_path)
     save_policy(det_policy([0, 0, 0], 1), tmp_path / "p3.json")

@@ -6,6 +6,7 @@ import pickle
 import tempfile
 from bisect import bisect_right
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,33 @@ def sparse_rows(g, shape, tenths=False):
     return w
 
 
+def edge_rows(g, w):
+    """Replace about half the rows of w, in place, with rows where the
+    widest outcome's interval [lo, hi) is hard to get right: a single
+    outcome; a lopsided row, one entry 1 - k ulp (k 1-4) and the rest tiny,
+    so that tiny entries after it may add nothing to the cumulative mass;
+    or dyadic masses whose two widest entries have exactly equal width.
+    Zeros stay between the entries."""
+    n = w.shape[-1]
+    for row in w.reshape(-1, n):
+        kind, at = g.integers(6), g.permutation(n)
+        if kind > 2:
+            continue
+        row[:] = 0.0
+        if kind == 0 or n == 1:
+            row[at[0]] = 1.0
+        elif kind == 1:
+            k, m = g.integers(1, 5), g.integers(1, n)
+            row[at[0]] = 1.0 - k * 2.0**-53
+            row[at[1:m + 1]] = k * 2.0**-53 / m
+        else:
+            tied = [[0.5, 0.5], [0.375, 0.375, 0.25],
+                    [0.375, 0.375, 0.125, 0.125], [0.25] * 4]
+            masses = tied[g.integers(1 + (n > 2) + 2 * (n > 3))]
+            row[at[:len(masses)]] = masses
+    return w
+
+
 class BoundaryDraws:
     """Generator stand-in whose draws come from pool: values where a
     bisect over full rows and one over compact rows could part."""
@@ -428,22 +456,24 @@ def sampler_cases(draw):
     """(mdp, experts, s0, pulls, rng pair): S 1-6, A 1-3; rewards with one,
     two or twelve support points (twelve allows rows of ten 0.1s);
     deterministic and stochastic experts; identity or blurred observations;
-    2-6 chained pulls of T 1-70, each recording or not.  The rng pair is two
+    in half the cases, edge_rows in every kernel the sampler reads; 2-6
+    chained pulls of T 1-70, each recording or not.  The rng pair is two
     Generators on one seed, or two BoundaryDraws over 0, the largest double
     below 1, and every raw and pinned cumulative value of the MDP's and the
-    experts' rows."""
+    experts' rows and the double just below each."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     V = draw(st.sampled_from([1, 2, 12]))
     blurred = draw(st.booleans())
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = edge_rows if draw(st.booleans()) else lambda g, w: w
     mdp = FiniteMdp(
         n_states=S, n_actions=A, n_obs=S,
-        transition=sparse_rows(g, (S, A, S)),
+        transition=edge(g, sparse_rows(g, (S, A, S))),
         reward_values=g.random((S, A, S, V)),
-        reward_probs=sparse_rows(g, (S, A, S, V), tenths=V >= 10),
+        reward_probs=edge(g, sparse_rows(g, (S, A, S, V), tenths=V >= 10)),
         observation=sparse_rows(g, (S, S)) if blurred else np.eye(S),
         initial_dist=np.full(S, 1.0 / S))
-    experts = [ExpertPolicy(policy=sparse_rows(g, (S, A))
+    experts = [ExpertPolicy(policy=edge(g, sparse_rows(g, (S, A)))
                             if draw(st.booleans())
                             else np.eye(A)[g.integers(0, A, size=S)])
                for _ in range(draw(st.integers(1, 3)))]
@@ -456,8 +486,10 @@ def sampler_cases(draw):
         kernels = [mdp.transition, mdp.reward_probs, mdp.observation] \
             + [e.policy for e in experts]
         values = np.concatenate(
-            [f(k).ravel() for k in kernels for f in (full_cdf, np.cumsum)]
+            [f(k).ravel() for k in kernels
+             for f in (full_cdf, partial(np.cumsum, axis=-1))]
             + [[0.0, np.nextafter(1.0, 0.0)]])
+        values = np.concatenate([values, np.nextafter(values, 0.0)])
         pool = np.unique(values[(values >= 0.0) & (values < 1.0)])
         rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
     else:
@@ -702,6 +734,31 @@ def test_load_mdp_rejects_bad_files(tmp_path):
     save_mdp(mdp, invalid)
     with pytest.raises(ValueError, match="invalid MDP"):
         load_mdp(invalid)
+
+
+@pytest.mark.parametrize("where, key", [(None, "discount"),
+                                        ("reward", "mean")])
+def test_load_mdp_rejects_unknown_keys(tmp_path, where, key):
+    # a key the loader would not read must not pass without a word
+    path = tmp_path / "m.json"
+    save_mdp(two_state_cycle(), path)
+    doc = json.loads(path.read_text())
+    (doc[where] if where else doc)[key] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=rf"m\.json: unknown keys \['{key}'\]"):
+        load_mdp(path)
+
+
+def test_load_policy_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "p.json"
+    save_policy(det_policy([0, 0], 1), path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"expert_id", "policy"}
+    path.write_text(json.dumps({**doc, "epsilon": 0.2, "alpha": 1}))
+    with pytest.raises(ValueError,
+                       match=r"p\.json: unknown keys \['alpha', 'epsilon'\]"):
+        load_policy(path)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
