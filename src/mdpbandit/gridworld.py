@@ -217,9 +217,9 @@ def build_gridworld(config: GridworldConfig) -> FiniteMdp:
 
     initial = np.zeros(S)
     initial[config.start_state()] = 1.0
-    return FiniteMdp(n_states=S, n_actions=A, n_obs=S, transition=P,
+    return FiniteMdp(n_states=S, n_actions=A, transition=P,
                      reward_values=values, reward_probs=probs,
-                     observation=np.eye(S), initial_dist=initial)
+                     initial_dist=initial)
 
 
 def permute_actions(mdp: FiniteMdp, permutation) -> FiniteMdp:
@@ -229,11 +229,9 @@ def permute_actions(mdp: FiniteMdp, permutation) -> FiniteMdp:
         raise ValueError(f"{permutation} is not a bijection on "
                          f"{mdp.n_actions} actions")
     return FiniteMdp(n_states=mdp.n_states, n_actions=mdp.n_actions,
-                     n_obs=mdp.n_obs,
                      transition=mdp.transition[:, sigma, :].copy(),
                      reward_values=mdp.reward_values[:, sigma].copy(),
                      reward_probs=mdp.reward_probs[:, sigma].copy(),
-                     observation=mdp.observation,
                      initial_dist=mdp.initial_dist)
 
 

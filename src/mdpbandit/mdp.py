@@ -9,11 +9,10 @@ the draw falls outside it (see below).
 
 RNG stream contract (what a seeded rollout of T steps consumes): T * d
 uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
-read step by step as (action draw, transition draw, reward draw); a
-deterministic source reads 0.0 instead, which picks the one entry of its
-row [1.0].  The experts act on states, so the observation kernel O is
-validated and kept in the file format but never sampled: the stream does
-not depend on O, nor on whether the rollout records.
+read step by step as (action draw, transition draw, reward draw), whether
+or not the rollout records; a deterministic source reads 0.0 instead,
+which picks the one entry of its row [1.0].  A row is deterministic when
+it has exactly one positive entry (_point_masses), whatever its value.
 bandit.run_mab draws these values ahead, a few thousand at a time, which
 is the same stream: a run uses the same values in the same order, but the
 caller's generator may end past the last value the run used.
@@ -34,14 +33,16 @@ cum[k]) of its widest outcome k, cum[-1] read as 0.0, and the walk tests
 lo <= u < hi before it bisects.  On a compact row bisect_right(cum, u)
 returns k exactly when cum[k-1] <= u < cum[k], so a hit picks the outcome
 the bisect would pick and a miss runs the bisect: the test changes no
-draw's outcome, and no output byte.  The bench rows are lopsided (a normal
-cell moves the intended way with probability 0.97), so most draws hit.  The
-fast path keeps a split layout: per state a 4-field hot row (lo, hi, next
-state, reward), and the full row, read only on a miss.
+draw's outcome, and no output byte.  The MDP's transition and reward rows
+get their intervals once, with the rows; a stepper adds its action rows'.
+The bench rows are lopsided (a normal cell moves the intended way with
+probability 0.97), so most draws hit.  The fast path keeps a split layout:
+per state a 4-field hot row (lo, hi, next state, reward), and the full
+row, read only on a miss.
 
 _Stepper.walk has a fast step loop for a deterministic policy with
-deterministic rewards and a general one for every other case, and a
-stepper builds only the rows its loop reads.  run_expert walks, or with
+deterministic rewards and a general one for every other case; only a
+fast-path stepper builds the split layout.  run_expert walks, or with
 record=True runs a recording loop that bisects every draw, on the same
 draws, and returns a Trajectory of the states, actions and rewards, so the
 record flag never shifts what a seeded run draws.
@@ -89,7 +90,7 @@ _ATOL = 1e-9  # stochasticity tolerance shared by all row checks
 
 @dataclass
 class FiniteMdp:
-    """Finite MDP with a discrete reward distribution per (s, a, s') triple.
+    """Finite MDP (S, A, P, R, mu0), a discrete reward law per (s, a, s').
 
     reward_values / reward_probs have shape (S, A, S, V): support points in
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
@@ -101,11 +102,9 @@ class FiniteMdp:
 
     n_states: int
     n_actions: int
-    n_obs: int
     transition: np.ndarray          # (S, A, S)
     reward_values: np.ndarray       # (S, A, S, V)
     reward_probs: np.ndarray        # (S, A, S, V)
-    observation: np.ndarray         # (S, Y)
     initial_dist: np.ndarray        # (S,)
 
     @cached_property
@@ -144,7 +143,6 @@ def validate_mdp(mdp: FiniteMdp) -> list[str]:
     bad = [f"non-finite entries in the {name}" for name, arr in (
         ("transition", mdp.transition), ("reward values", mdp.reward_values),
         ("reward probabilities", mdp.reward_probs),
-        ("observation kernel", mdp.observation),
         ("initial distribution", mdp.initial_dist))
         if not np.isfinite(arr).all()]
     P = mdp.transition
@@ -174,22 +172,14 @@ def validate_mdp(mdp: FiniteMdp) -> list[str]:
     for s, a, t, v in zip(*np.where(rp < 0)):
         bad.append(f"negative reward probability at (s={s}, a={a}, s'={t})")
 
-    O = mdp.observation
-    if O.shape != (mdp.n_states, mdp.n_obs):
-        bad.append(f"observation shape {O.shape} does not match "
-                   f"({mdp.n_states}, {mdp.n_obs})")
-    else:
-        osums = O.sum(axis=1)
-        for (s,) in zip(*np.where(np.abs(osums - 1.0) > _ATOL)):
-            bad.append(f"observation row sum {osums[s]} at s={s}, expected 1")
-        if (O < 0).any():
-            bad.append("negative observation entries")
-
     mu0 = mdp.initial_dist
     if mu0.shape != (mdp.n_states,):
         bad.append(f"initial distribution shape {mu0.shape} does not match "
                    f"({mdp.n_states},)")
-    elif abs(float(mu0.sum()) - 1.0) > _ATOL or (mu0 < 0).any():
+        return bad
+    for (s,) in zip(*np.where(mu0 < 0)):
+        bad.append(f"negative initial distribution entry mu0({s}) = {mu0[s]}")
+    if abs(float(mu0.sum()) - 1.0) > _ATOL:
         bad.append(f"initial distribution sum {float(mu0.sum())}, expected 1")
     return bad
 
@@ -240,92 +230,87 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _row(cum: list, *items) -> tuple:
+    """(lo, hi, k, cum, *items), where [lo, hi) = [cum[k-1], cum[k]) is the
+    widest interval of the cumulative row cum, cum[-1] read as 0.0; k is
+    the lowest on ties."""
+    widths = [hi - lo for lo, hi in zip([0.0, *cum], cum)]
+    k = widths.index(max(widths))
+    return (cum[k - 1] if k else 0.0), cum[k], k, cum, *items
+
+
 def _compact(probs: np.ndarray, items: list) -> list:
-    """(cumulative mass, items) of each row of probs, on its positive
+    """_row(cumulative mass, items) of each row of probs, on its positive
     entries only."""
     keep = (probs > 0).tolist()
-    return [(cum, xs) if all(ks) else ([c for c, k in zip(cum, ks) if k],
-                                       [x for x, k in zip(xs, ks) if k])
-            for cum, xs, ks in zip(_cdf(probs).tolist(), items, keep)]
+    return [_row(cum, xs) if all(ks) else _row(
+        [c for c, k in zip(cum, ks) if k], [x for x, k in zip(xs, ks) if k])
+        for cum, xs, ks in zip(_cdf(probs).tolist(), items, keep)]
+
+
+def _point_masses(probs: np.ndarray) -> np.ndarray:
+    """Whether each row over the last axis has exactly one positive entry,
+    which makes it a point mass on its argmax, sampled without a draw."""
+    return np.count_nonzero(probs > 0, axis=-1) == 1
 
 
 def _mdp_rows(mdp: FiniteMdp) -> list:
-    """rows[s][a] = (a, cumulative mass, next states, reward rows), where a
-    reward row is (cumulative mass, values)."""
+    """rows[s][a] = _row(cumulative mass, next states, reward rows, a),
+    where a reward row is _row(cumulative mass, values)."""
     bad = validate_mdp(mdp)
     if bad:
         raise ValueError("invalid MDP: " + "; ".join(bad))
     P = mdp.transition
     idx = np.nonzero(P > 0)
-    rows = [[(a, [], [], []) for a in range(mdp.n_actions)]
+    rows = [[([], [], []) for _ in range(mdp.n_actions)]
             for _ in range(mdp.n_states)]
     rewards = _compact(mdp.reward_probs[idx], mdp.reward_values[idx].tolist())
     for s, a, j, c, r in zip(*(i.tolist() for i in idx),
                              _cdf(P)[idx].tolist(), rewards):
-        _, cum, nxt, rew = rows[s][a]
+        cum, nxt, rew = rows[s][a]
         cum.append(c)
         nxt.append(j)
         rew.append(r)
-    return rows
-
-
-def _action_rows(mdp_rows: list, pi: np.ndarray, stoch_pol: bool) -> list:
-    """(cumulative mass, MDP rows) over the actions each state takes; a
-    deterministic policy has the row [1.0] and its argmax action."""
-    if stoch_pol:
-        return _compact(pi, mdp_rows)
-    return [([1.0], [row[a]])
-            for row, a in zip(mdp_rows, pi.argmax(axis=1).tolist())]
-
-
-def _widest(cum: list) -> tuple:
-    """(lo, hi, k) of the widest interval [lo, hi) = [cum[k-1], cum[k]) of
-    a cumulative row, cum[-1] read as 0.0; the lowest k on ties."""
-    widths = [hi - lo for lo, hi in zip([0.0, *cum], cum)]
-    k = widths.index(max(widths))
-    return (cum[k - 1] if k else 0.0), cum[k], k
+    return [[_row(cum, nxt, rew, a) for a, (cum, nxt, rew) in enumerate(row)]
+            for row in rows]
 
 
 class _Stepper:
     """One expert's sampler on one MDP.
 
-    With a deterministic policy and deterministic rewards (the fast path),
-    hot[s] is (lo, hi, next state, reward) of the widest outcome of the one
-    action's row and flat[s] is that row, (cumulative mass, next states,
-    rewards).  Otherwise rows[s] is (lo, hi, j, cumulative mass, rows) over
-    the actions taken in s, each row (lo, hi, k, cumulative mass, next
-    states, reward rows) and each reward row (lo, hi, v, cumulative mass,
-    values); (lo, hi, index) is the row's widest interval (_widest).  A
-    deterministic source has the row [1.0], whose interval [0.0, 1.0) holds
-    the 0.0 it reads."""
+    rows[s] is (lo, hi, j, cumulative mass, MDP rows) over the actions taken
+    in s, each MDP row (lo, hi, k, cumulative mass, next states, reward
+    rows, a) and each reward row (lo, hi, v, cumulative mass, values);
+    (lo, hi, index) is a row's widest interval (_row).  A deterministic
+    source has the row [1.0], whose interval [0.0, 1.0) holds the 0.0 it
+    reads; for a deterministic policy that row holds the argmax action.
+    With a deterministic policy and deterministic rewards (the fast path)
+    the walk reads hot and flat instead: hot[s] is (lo, hi, next state,
+    reward) of the widest outcome of the one action's row and flat[s] is
+    that row, (cumulative mass, next states, rewards).  Otherwise hot and
+    flat are None."""
 
     __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat", "hot")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
-        mdp_rows = mdp._rows
         bad = validate_policy(policy, mdp)
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad))
         pi = policy.policy
-        # one-hot detection is exact on purpose: a row with max 1.0 has no
-        # other mass, so argmax is the whole distribution
-        self.stoch_pol = not (pi.max(axis=1) == 1.0).all()
+        # a row with exactly one positive entry is a point mass on its
+        # argmax, whatever the entry's value; any other row is drawn
+        self.stoch_pol = not _point_masses(pi).all()
         self.stoch_rew = mdp.reward_values.shape[-1] > 1
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
-        plain = _action_rows(mdp_rows, pi, self.stoch_pol)
+        self.rows = _compact(pi, mdp._rows) if self.stoch_pol else [
+            (0.0, 1.0, 0, [1.0], [row[a]])
+            for row, a in zip(mdp._rows, pi.argmax(axis=1).tolist())]
         if self.stoch_pol or self.stoch_rew:
             self.flat = self.hot = None
-            self.rows = [(*_widest(acum), acum, [
-                (*_widest(cum), cum, nxt,
-                 [(*_widest(rcum), rcum, vals) for rcum, vals in rew])
-                for _, cum, nxt, rew in arows])
-                for acum, arows in plain]
             return
-        self.rows = None
         self.flat, self.hot = [], []
-        for _, ((_, cum, nxt, rew),) in plain:
-            lo, hi, k = _widest(cum)
-            rewards = [vals[0] for _, vals in rew]
+        for _, _, _, _, ((lo, hi, k, cum, nxt, rew, _),) in self.rows:
+            rewards = [row[-1][0] for row in rew]
             self.flat.append((cum, nxt, rewards))
             self.hot.append((lo, hi, nxt[k], rewards[k]))
 
@@ -361,7 +346,7 @@ class _Stepper:
             lo, hi, j, acum, arows = rows[s]
             if not lo <= xa < hi:
                 j = bisect_right(acum, xa)
-            lo, hi, k, cum, nxt, rew = arows[j]
+            lo, hi, k, cum, nxt, rew, _ = arows[j]
             if not lo <= xt < hi:
                 k = bisect_right(cum, xt)
             lo, hi, v, rcum, rvals = rew[k]
@@ -391,14 +376,13 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         total, s = stepper.walk(s0, uniforms)
         return total / T, s, None
 
-    rows = _action_rows(mdp._rows, policy.policy, stepper.stoch_pol)
     total, s = 0.0, s0
     states, actions, rewards = [s0], [], []
     for xa, xt, xr in stepper.draws(uniforms):
-        acum, arows = rows[s]
-        a, cum, nxt, rew = arows[bisect_right(acum, xa)]
+        *_, acum, arows = stepper.rows[s]
+        *_, cum, nxt, rew, a = arows[bisect_right(acum, xa)]
         k = bisect_right(cum, xt)
-        rcum, rvals = rew[k]
+        *_, rcum, rvals = rew[k]
         r = rvals[bisect_right(rcum, xr)]
         total += r
         s = nxt[k]
@@ -411,9 +395,10 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
 
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
-    """Draw s0 from mu0.  Point masses are read off without consuming RNG."""
+    """Draw s0 from mu0.  A law with exactly one positive entry
+    (_point_masses) is read off without consuming RNG."""
     mu0 = mdp.initial_dist
-    if mu0.max() == 1.0:
+    if _point_masses(mu0):
         return int(mu0.argmax())
     return bisect_right(_cdf(mu0).tolist(), float(rng.random()))
 
@@ -455,14 +440,15 @@ def write_csv(path, header, rows, comments=()) -> None:
 
 
 # MDPs are JSON with keys
-#   states, actions, observations, transition, reward, observation_kernel,
-#   initial
+#   states, actions, transition, reward, initial
 # reward is {"values": nested S x A x S x V, "probs": same shape}.  Floats
 # serialize through repr so load(save(m)) reproduces every array bit for bit.
-# The loaders accept exactly the keys the savers write.
+# The loaders accept exactly the keys the savers write, and in an MDP file
+# also the legacy observation keys of older files, read and ignored whatever
+# their value: the model is fully observed.
 
-_MDP_KEYS = {"states", "actions", "observations", "transition", "reward",
-             "observation_kernel", "initial"}
+_MDP_KEYS = {"states", "actions", "transition", "reward", "initial",
+             "observations", "observation_kernel"}
 _REWARD_KEYS = {"values", "probs"}
 _POLICY_KEYS = {"expert_id", "policy"}
 
@@ -488,11 +474,9 @@ def _to_jsonable(mdp: FiniteMdp) -> dict:
     return {
         "states": mdp.n_states,
         "actions": mdp.n_actions,
-        "observations": mdp.n_obs,
         "transition": mdp.transition.tolist(),
         "reward": {"values": mdp.reward_values.tolist(),
                    "probs": mdp.reward_probs.tolist()},
-        "observation_kernel": mdp.observation.tolist(),
         "initial": mdp.initial_dist.tolist(),
     }
 
@@ -508,11 +492,9 @@ def load_mdp(path) -> FiniteMdp:
         mdp = FiniteMdp(
             n_states=_int_field(doc, "states"),
             n_actions=_int_field(doc, "actions"),
-            n_obs=_int_field(doc, "observations"),
             transition=np.asarray(doc["transition"], dtype=float),
             reward_values=np.asarray(doc["reward"]["values"], dtype=float),
             reward_probs=np.asarray(doc["reward"]["probs"], dtype=float),
-            observation=np.asarray(doc["observation_kernel"], dtype=float),
             initial_dist=np.asarray(doc["initial"], dtype=float),
         )
     except (KeyError, TypeError) as exc:

@@ -342,16 +342,14 @@ def test_run_mab_matches_a_manual_replay():
         assert log.avg_rewards[n] == avg
 
 
-def random_environment(g, S, A, V, blurred, spread_start):
-    """An MDP on S states and A actions with V-point rewards, observed
-    through a blurred kernel or exactly, started from one state or from a
-    law over all of them."""
+def random_environment(g, S, A, V, spread_start):
+    """An MDP on S states and A actions with V-point rewards, started from
+    one state or from a law over all of them."""
     return FiniteMdp(
-        n_states=S, n_actions=A, n_obs=S,
+        n_states=S, n_actions=A,
         transition=sparse_rows(g, (S, A, S)),
         reward_values=g.random((S, A, S, V)),
         reward_probs=sparse_rows(g, (S, A, S, V), tenths=V >= 10),
-        observation=sparse_rows(g, (S, S)) if blurred else np.eye(S),
         initial_dist=g.dirichlet(np.ones(S)) if spread_start
         else np.eye(S)[g.integers(S)])
 
@@ -359,15 +357,15 @@ def random_environment(g, S, A, V, blurred, spread_start):
 @st.composite
 def mab_cases(draw):
     """(run_mab arguments, uniforms per block): S 1-5, A 1-3; one-, two-
-    and twelve-point rewards; identity or blurred observations; a point
-    mass or a spread initial law; deterministic and eps-mixed experts;
-    constant and growing schedules; no event, a permutation event, or an
-    event installing another random MDP, which may change the draws a step
-    takes (reward support, observation kernel); UCB or a cycling selector."""
+    and twelve-point rewards; a point mass or a spread initial law;
+    deterministic and eps-mixed experts; constant and growing schedules; no
+    event, a permutation event, or an event installing another random MDP,
+    which may change the draws a step takes (reward support); UCB or a
+    cycling selector."""
     S, A = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mdp = random_environment(g, S, A, draw(st.sampled_from([1, 2, 12])),
-                             draw(st.booleans()), draw(st.booleans()))
+                             draw(st.booleans()))
     experts = []
     for _ in range(draw(st.integers(1, 3))):
         pi = np.eye(A)[g.integers(0, A, size=S)]
@@ -387,8 +385,7 @@ def mab_cases(draw):
                 mdp, g.permutation(A).tolist())))
         else:
             events.append((when, random_environment(
-                g, S, A, draw(st.sampled_from([1, 2, 12])),
-                draw(st.booleans()), False)))
+                g, S, A, draw(st.sampled_from([1, 2, 12])), False)))
     profiles = [nominal_profile(k=draw(st.sampled_from([0.0, 0.5, 2.0])))
                 for _ in experts]
     selector = None
@@ -417,47 +414,6 @@ def test_run_mab_replays_the_per_pull_loop(case):
         assert got.dtype == want.dtype, name
         assert got.tolist() == want.tolist(), name
     assert log.meta == ref.meta
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(mab_cases(),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 40),
-                          st.booleans()), min_size=1, max_size=5),
-       st.integers(0, 2**32 - 1))
-def test_the_observation_kernel_never_moves_the_stream(case, pulls,
-                                                       kernel_seed):
-    # the experts act on states, so nothing is drawn for observations: the
-    # same MDPs seen exactly or through a blurred kernel on S + 1
-    # observations give the same pulls, run logs and generator states
-    (mdp, experts, profiles, schedule, selector, iterations, seed,
-     events), _ = case
-    g = np.random.default_rng(kernel_seed)
-    blur = {id(m): g.dirichlet(np.ones(m.n_states + 1), size=m.n_states)
-            for m in [mdp] + [m for _, m in events]}
-
-    def observed(m, blurred):
-        kernel = blur[id(m)] if blurred else np.eye(m.n_states)
-        return replace(m, n_obs=kernel.shape[1], observation=kernel)
-
-    results = []
-    for blurred in (False, True):
-        env = observed(mdp, blurred)
-        rng = np.random.default_rng(seed)
-        s, seen = 0, []
-        for e, T, record in pulls:
-            avg, s, traj = run_expert(env, experts[e % len(experts)], s, T,
-                                      rng, record)
-            seen.append((avg, s, traj and (traj.states.tolist(),
-                                           traj.actions.tolist(),
-                                           traj.rewards.tolist())))
-        seen.append(rng.bit_generator.state)
-        log = run_mab(env, experts, profiles, schedule, selector, iterations,
-                      rng, [(w, observed(m, blurred)) for w, m in events])
-        seen += [getattr(log, name).tolist() for name in (
-            "experts", "horizons", "start_states", "avg_rewards", "t_start")]
-        seen += [log.meta, rng.bit_generator.state]
-        results.append(seen)
-    assert results[0] == results[1]
 
 
 def test_run_mab_rejects_a_horizon_past_int64_before_the_first_pull():

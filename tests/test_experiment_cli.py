@@ -33,9 +33,9 @@ from mdpbandit.experiment import (
     sweep_spec,
 )
 from mdpbandit.gridworld import permute_actions
-from mdpbandit.mdp import ExpertPolicy, save_mdp, save_policy
+from mdpbandit.mdp import ExpertPolicy, load_mdp, save_mdp, save_policy
 from oracles import log_linear_fit
-from test_mdp import det_policy, make_mdp
+from test_mdp import det_policy, make_mdp, random_mdp
 
 # tiny 1x2 gridworld; the sticky trap keeps the induced chain aperiodic
 # (a plain "S." strip would be a deterministic 2-cycle), R_bar = 0.002/1.02
@@ -580,7 +580,6 @@ def test_cli_analyze_stdout_for_a_small_chain(tmp_path):
     ("p.json", "expert_id", True),
     ("m.json", "states", 2.9),
     ("m.json", "actions", True),
-    ("m.json", "observations", 2.0),
 ])
 def test_cli_analyze_integer_file_fields_must_be_json_integers(
         tmp_path, name, key, value):
@@ -1015,6 +1014,54 @@ def test_cli_an_unknown_file_key_exits_one(tmp_path, name, key):
     code, _, err = run_cli(["analyze", str(mdp), str(pol)])
     assert code == 1
     assert f"{name}: unknown keys ['{key}']" in err
+
+
+def test_cli_the_legacy_observation_keys_are_read_and_ignored(tmp_path):
+    # the model is fully observed: an MDP file's "observations" and
+    # "observation_kernel" are read and ignored whatever their value, and
+    # save_mdp writes neither.  A file without them failed with "missing or
+    # malformed field"
+    g = np.random.default_rng(5)
+    save_mdp(random_mdp(g, S=3, A=2), tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert set(doc) == {"states", "actions", "transition", "reward",
+                        "initial"}
+    for j in range(2):
+        pi = 0.9 * np.eye(2)[g.integers(0, 2, size=3)] + 0.05
+        save_policy(ExpertPolicy(policy=pi, expert_id=j),
+                    tmp_path / f"p{j}.json")
+    variants = {
+        "blurred": {"observations": 4,
+                    "observation_kernel": g.dirichlet(np.ones(4),
+                                                      size=3).tolist()},
+        "malformed": {"observations": 2.0,
+                      "observation_kernel": [[0.5, 0.7], [-1.0]]},
+        "absent": {}}
+    loaded, written = [], []
+    for name, keys in variants.items():
+        (tmp_path / "m.json").write_text(json.dumps({**doc, **keys}))
+        loaded.append(load_mdp(tmp_path / "m.json"))
+        spec = {"label": "obs", "t0": 4, "c": 0.1, "iterations": 40,
+                "seeds": [0, 1], "out": name, "mdp": "m.json",
+                "experts": ["p0.json", "p1.json"]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            # the gap precondition fails: no theory bound, the same warning
+            # on each run
+            warnings.simplefilter("ignore")
+            code, _, err = run_cli(["run", "--config",
+                                    str(tmp_path / "spec.json")])
+        assert code == 0, err
+        written.append({p.name: p.read_bytes()
+                        for p in (tmp_path / name).glob("*.csv")})
+    assert {"aggregate.csv", "runlog_seed0.csv", "runlog_seed1.csv"} \
+        <= set(written[0])
+    assert written[0] == written[1] == written[2]
+    for mdp in loaded[1:]:
+        for field in ("transition", "reward_values", "reward_probs",
+                      "initial_dist"):
+            assert getattr(mdp, field).tobytes() \
+                == getattr(loaded[0], field).tobytes()
 
 
 def test_cli_analyze_rejects_a_repeated_expert_id(tmp_path):

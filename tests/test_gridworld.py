@@ -169,10 +169,9 @@ def test_reward_keying_destination_vs_source():
 
 def test_benchmark_mdp_shape_and_start(bench):
     mdp = bench.mdp
-    assert (mdp.n_states, mdp.n_actions, mdp.n_obs) == (25, 4, 25)
+    assert (mdp.n_states, mdp.n_actions) == (25, 4)
     assert validate_mdp(mdp) == []
     assert mdp.initial_dist[20] == 1.0 and mdp.initial_dist.sum() == 1.0
-    np.testing.assert_array_equal(mdp.observation, np.eye(25))
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,9 @@ def make_mdp(P, reward_table, initial=None):
     return FiniteMdp(
         n_states=S,
         n_actions=A,
-        n_obs=S,
         transition=P,
         reward_values=values,
         reward_probs=probs,
-        observation=np.eye(S),
         initial_dist=np.asarray(initial, dtype=float),
     )
 
@@ -80,15 +78,15 @@ def det_policy(actions, n_actions, expert_id=0):
 
 
 def random_mdp(rng, S=4, A=3, V=2):
-    """Dirichlet rows, stochastic two-point rewards, identity observations."""
+    """Dirichlet rows, stochastic two-point rewards."""
     P = rng.dirichlet(np.ones(S), size=(S, A))
     values = np.sort(rng.random((S, A, S, V)), axis=-1)
     probs = rng.dirichlet(np.ones(V), size=(S, A, S))
     mu0 = rng.dirichlet(np.ones(S))
     return FiniteMdp(
-        n_states=S, n_actions=A, n_obs=S,
+        n_states=S, n_actions=A,
         transition=P, reward_values=values, reward_probs=probs,
-        observation=np.eye(S), initial_dist=mu0,
+        initial_dist=mu0,
     )
 
 
@@ -119,27 +117,30 @@ def test_validate_reports_reward_support_outside_unit_interval():
 
 
 def test_validate_reports_each_malformed_block():
-    # negative transition entry, reward probs not summing, bad observation
-    # row, bad initial distribution: one message per defect
+    # negative transition entry, reward probs not summing, bad initial
+    # distribution: one message per defect.  An initial law with a negative
+    # entry that sums to 1 was reported as "sum 1.0, expected 1"
     mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
     mdp.transition[0, 0] = [1.5, -0.5]
     mdp.reward_probs[1, 0, 0, 0] = 0.25
-    mdp.observation[1] = [0.3, 0.3]
     mdp.initial_dist[:] = [0.7, 0.7]
     bad = validate_mdp(mdp)
     assert any("negative transition" in m for m in bad)
     assert any("reward probabilities sum" in m for m in bad)
-    assert any("observation row sum" in m and "s=1" in m for m in bad)
-    assert any("initial distribution sum" in m for m in bad)
+    assert any("initial distribution sum 1.4" in m for m in bad)
+    assert not any("negative initial" in m for m in bad)
+    mdp.initial_dist[:] = [1.5, -0.5]
+    bad = validate_mdp(mdp)
+    assert "negative initial distribution entry mu0(1) = -0.5" in bad
+    assert not any("initial distribution sum" in m for m in bad)
 
 
 def test_validate_shape_mismatch_reported_first():
     mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
     mdp = FiniteMdp(
-        n_states=3, n_actions=1, n_obs=2,
+        n_states=3, n_actions=1,
         transition=mdp.transition, reward_values=mdp.reward_values,
-        reward_probs=mdp.reward_probs, observation=mdp.observation,
-        initial_dist=mdp.initial_dist,
+        reward_probs=mdp.reward_probs, initial_dist=mdp.initial_dist,
     )
     bad = validate_mdp(mdp)
     assert len(bad) == 1 and "transition shape" in bad[0]
@@ -148,7 +149,6 @@ def test_validate_shape_mismatch_reported_first():
 @pytest.mark.parametrize("name, field", [
     ("transition", "transition"), ("reward values", "reward_values"),
     ("reward probabilities", "reward_probs"),
-    ("observation kernel", "observation"),
     ("initial distribution", "initial_dist")])
 def test_validate_reports_non_finite_entries(name, field):
     # every comparison with NaN is false, so the row-sum and sign checks
@@ -266,13 +266,6 @@ def test_record_flag_does_not_shift_the_stream():
     # run (record off) then run again from the same generator; the second
     # rollout must match the record-on version of the same experiment
     mdp = random_mdp(np.random.default_rng(14))
-    O = np.random.default_rng(15).dirichlet(np.ones(4), size=4)
-    mdp = FiniteMdp(
-        n_states=4, n_actions=3, n_obs=4,
-        transition=mdp.transition, reward_values=mdp.reward_values,
-        reward_probs=mdp.reward_probs, observation=O,
-        initial_dist=mdp.initial_dist,
-    )
     expert = ExpertPolicy(policy=np.random.default_rng(16).dirichlet(np.ones(3), size=4))
 
     rng_off = np.random.default_rng(77)
@@ -292,13 +285,12 @@ def test_record_flag_does_not_shift_the_stream():
 @st.composite
 def rollout_cases(draw):
     """(mdp, expert, s0, T, seed) on 2-6 states: a deterministic or
-    stochastic policy, rewards with V = 1 or 2 support points, identity or
-    blurred observations.  Kernel rows have exact zeros."""
+    stochastic policy, rewards with V = 1 or 2 support points.  Kernel rows
+    have exact zeros."""
     S = draw(st.integers(2, 6))
     A = draw(st.integers(2, 3))
     V = draw(st.sampled_from([1, 2]))
     stochastic_policy = draw(st.booleans())
-    blurred = draw(st.booleans())
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def rows(*shape):
@@ -307,10 +299,9 @@ def rollout_cases(draw):
         return w / w.sum(axis=-1, keepdims=True)
 
     mdp = FiniteMdp(
-        n_states=S, n_actions=A, n_obs=S,
+        n_states=S, n_actions=A,
         transition=rows(S, A, S), reward_values=g.random((S, A, S, V)),
         reward_probs=rows(S, A, S, V),
-        observation=rows(S, S) if blurred else np.eye(S),
         initial_dist=np.full(S, 1.0 / S),
     )
     policy = rows(S, A) if stochastic_policy \
@@ -360,7 +351,7 @@ def reference_run(mdp, policy, s0, T, rng, record):
     rvals = mdp.reward_values.tolist()
     rcdf = full_cdf(mdp.reward_probs).tolist()
     pi = policy.policy
-    stoch_pol = not (pi.max(axis=1) == 1.0).all()
+    stoch_pol = not ((pi > 0).sum(axis=1) == 1).all()
     stoch_rew = mdp.reward_values.shape[-1] > 1
     act = pi.argmax(axis=1).tolist()
     pol_cdf = full_cdf(pi).tolist()
@@ -408,12 +399,13 @@ def edge_rows(g, w):
     widest outcome's interval [lo, hi) is hard to get right: a single
     outcome; a lopsided row, one entry 1 - k ulp (k 1-4) and the rest tiny,
     so that tiny entries after it may add nothing to the cumulative mass;
-    or dyadic masses whose two widest entries have exactly equal width.
-    Zeros stay between the entries."""
+    dyadic masses whose two widest entries have exactly equal width; or one
+    entry 1.0 and 1e-10 spread over the rest, a row that is no point mass
+    though its max is 1.0.  Zeros stay between the entries."""
     n = w.shape[-1]
     for row in w.reshape(-1, n):
-        kind, at = g.integers(6), g.permutation(n)
-        if kind > 2:
+        kind, at = g.integers(8), g.permutation(n)
+        if kind > 3:
             continue
         row[:] = 0.0
         if kind == 0 or n == 1:
@@ -422,6 +414,10 @@ def edge_rows(g, w):
             k, m = g.integers(1, 5), g.integers(1, n)
             row[at[0]] = 1.0 - k * 2.0**-53
             row[at[1:m + 1]] = k * 2.0**-53 / m
+        elif kind == 3:
+            m = g.integers(1, n)
+            row[at[0]] = 1.0
+            row[at[1:m + 1]] = 1e-10 / m
         else:
             tied = [[0.5, 0.5], [0.375, 0.375, 0.25],
                     [0.375, 0.375, 0.125, 0.125], [0.25] * 4]
@@ -455,23 +451,21 @@ def stream_state(rng):
 def sampler_cases(draw):
     """(mdp, experts, s0, pulls, rng pair): S 1-6, A 1-3; rewards with one,
     two or twelve support points (twelve allows rows of ten 0.1s);
-    deterministic and stochastic experts; identity or blurred observations;
-    in half the cases, edge_rows in every kernel the sampler reads; 2-6
-    chained pulls of T 1-70, each recording or not.  The rng pair is two
-    Generators on one seed, or two BoundaryDraws over 0, the largest double
-    below 1, and every raw and pinned cumulative value of the MDP's and the
-    experts' rows and the double just below each."""
+    deterministic and stochastic experts; in half the cases, edge_rows in
+    every kernel the sampler reads; 2-6 chained pulls of T 1-70, each
+    recording or not.  The rng pair is two Generators on one seed, or two
+    BoundaryDraws over 0, the largest double below 1, and every raw and
+    pinned cumulative value of the MDP's and the experts' rows and the
+    double just below each."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     V = draw(st.sampled_from([1, 2, 12]))
-    blurred = draw(st.booleans())
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edge = edge_rows if draw(st.booleans()) else lambda g, w: w
     mdp = FiniteMdp(
-        n_states=S, n_actions=A, n_obs=S,
+        n_states=S, n_actions=A,
         transition=edge(g, sparse_rows(g, (S, A, S))),
         reward_values=g.random((S, A, S, V)),
         reward_probs=edge(g, sparse_rows(g, (S, A, S, V), tenths=V >= 10)),
-        observation=sparse_rows(g, (S, S)) if blurred else np.eye(S),
         initial_dist=np.full(S, 1.0 / S))
     experts = [ExpertPolicy(policy=edge(g, sparse_rows(g, (S, A)))
                             if draw(st.booleans())
@@ -483,7 +477,7 @@ def sampler_cases(draw):
                           min_size=2, max_size=6))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        kernels = [mdp.transition, mdp.reward_probs, mdp.observation] \
+        kernels = [mdp.transition, mdp.reward_probs] \
             + [e.policy for e in experts]
         values = np.concatenate(
             [f(k).ravel() for k in kernels
@@ -517,7 +511,7 @@ def test_a_pickled_warm_cache_samples_the_same_stream():
     # a pool worker receives the MDP together with its experts and the
     # sampler rows built in the parent
     g = np.random.default_rng(21)
-    mdp = replace(random_mdp(g), observation=g.dirichlet(np.ones(4), size=4))
+    mdp = random_mdp(g)
     experts = [ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4)),
                det_policy([0, 2, 1, 1], 3)]
     for expert in experts:
@@ -585,9 +579,9 @@ def test_run_expert_stochastic_rewards_hit_their_mean():
     values = np.array([0.2, 0.8]).reshape(1, 1, 1, 2)
     probs = np.array([0.25, 0.75]).reshape(1, 1, 1, 2)
     mdp = FiniteMdp(
-        n_states=1, n_actions=1, n_obs=1,
+        n_states=1, n_actions=1,
         transition=np.ones((1, 1, 1)), reward_values=values,
-        reward_probs=probs, observation=np.eye(1), initial_dist=np.ones(1),
+        reward_probs=probs, initial_dist=np.ones(1),
     )
     expert = det_policy([0], 1)
     avg, _, traj = run_expert(mdp, expert, 0, 20_000, np.random.default_rng(2))
@@ -627,6 +621,38 @@ def test_sample_initial_state_point_mass_consumes_no_randomness():
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("mu0, draws", [([1e-10, 1.0], 1),
+                                        ([0.0, 1.0 - 1e-10], 0)])
+def test_an_initial_law_is_a_point_mass_only_with_one_positive_entry(
+        mu0, draws):
+    # [1e-10, 1.0] passes validate_mdp and was read off as state 1 without
+    # a draw, dropping the mass of state 0 that induced_chain counts
+    mdp = two_state_cycle()
+    mdp.initial_dist[:] = mu0
+    assert validate_mdp(mdp) == []
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    s0 = sample_initial_state(mdp, rng)
+    ref.random(draws)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert s0 == 1 or draws
+
+
+@pytest.mark.parametrize("row, width", [([1e-10, 1.0], 2),
+                                        ([0.0, 1.0 - 1e-10], 1)])
+def test_a_policy_row_is_a_point_mass_only_with_one_positive_entry(
+        row, width):
+    # [1e-10, 1.0] passes validate_policy and was sampled as always taking
+    # action 1, one uniform a step, dropping the mass of action 0
+    mdp = make_mdp(np.ones((1, 2, 1)), np.zeros((1, 2, 1)))
+    policy = ExpertPolicy(policy=np.array([row]))
+    assert validate_policy(policy, mdp) == []
+    for record in (False, True):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        run_expert(mdp, policy, 0, 5, rng, record)
+        ref.random(5 * width)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_sample_initial_state_matches_distribution():
     mdp = two_state_cycle()
     mdp.initial_dist[:] = [0.25, 0.75]
@@ -641,9 +667,9 @@ def test_mean_reward_collapses_the_kernel():
     values = np.array([0.2, 0.8]).reshape(1, 1, 1, 2)
     probs = np.array([0.25, 0.75]).reshape(1, 1, 1, 2)
     mdp2 = FiniteMdp(
-        n_states=1, n_actions=1, n_obs=1,
+        n_states=1, n_actions=1,
         transition=np.ones((1, 1, 1)), reward_values=values,
-        reward_probs=probs, observation=np.eye(1), initial_dist=np.ones(1),
+        reward_probs=probs, initial_dist=np.ones(1),
     )
     np.testing.assert_allclose(mdp2.mean_reward(), [[[0.65]]], atol=1e-15)
 
@@ -657,11 +683,10 @@ def test_mdp_json_round_trip_is_exact(tmp_path):
     path = tmp_path / "m.json"
     save_mdp(mdp, path)
     back = load_mdp(path)
-    assert (back.n_states, back.n_actions, back.n_obs) == (4, 3, 4)
+    assert (back.n_states, back.n_actions) == (4, 3)
     np.testing.assert_array_equal(back.transition, mdp.transition)
     np.testing.assert_array_equal(back.reward_values, mdp.reward_values)
     np.testing.assert_array_equal(back.reward_probs, mdp.reward_probs)
-    np.testing.assert_array_equal(back.observation, mdp.observation)
     np.testing.assert_array_equal(back.initial_dist, mdp.initial_dist)
 
 
@@ -677,15 +702,14 @@ def stochastic(draw, shape):
 
 @st.composite
 def drawn_mdps(draw):
-    S, A, V, Y = (draw(st.integers(1, n)) for n in (4, 3, 2, 3))
+    S, A, V = (draw(st.integers(1, n)) for n in (4, 3, 2))
     values = draw(st.lists(st.floats(0.0, 1.0), min_size=S * A * S * V,
                            max_size=S * A * S * V))
     return FiniteMdp(
-        n_states=S, n_actions=A, n_obs=Y,
+        n_states=S, n_actions=A,
         transition=stochastic(draw, (S, A, S)),
         reward_values=np.array(values).reshape(S, A, S, V),
         reward_probs=stochastic(draw, (S, A, S, V)),
-        observation=stochastic(draw, (S, Y)),
         initial_dist=stochastic(draw, (S,)))
 
 
@@ -708,9 +732,8 @@ def test_mdp_and_policy_files_round_trip_bit_for_bit(mdp, entries, expert_id):
         save_policy(policy, Path(tmp) / "p.json")
         back = load_mdp(Path(tmp) / "m.json")
         pol = load_policy(Path(tmp) / "p.json")
-    assert (back.n_states, back.n_actions, back.n_obs) \
-        == (mdp.n_states, mdp.n_actions, mdp.n_obs)
-    for name in ("transition", "reward_values", "reward_probs", "observation",
+    assert (back.n_states, back.n_actions) == (mdp.n_states, mdp.n_actions)
+    for name in ("transition", "reward_values", "reward_probs",
                  "initial_dist"):
         assert same_bits(getattr(back, name), getattr(mdp, name)), name
     assert same_bits(pol.policy, policy.policy)
