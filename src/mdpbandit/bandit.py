@@ -5,8 +5,9 @@ environment state carries over from one pull to the next.  Iteration n runs
 the chosen expert for T_n steps starting wherever iteration n - 1 left the
 chain, so a bad expert does not just earn little, it also hands the next
 expert a bad starting state.  The K_e / T_0 term in the confidence bound is
-what pays for that coupling.  The selector runs once per pull on a handful of
-experts, so its state and index are plain lists and floats, not numpy.
+what pays for that coupling.  ucb_selector binds the paper's index to one
+K_e per expert.  The selector runs once per pull on a handful of experts,
+so its state and index are plain lists and floats, not numpy.
 """
 
 from __future__ import annotations
@@ -182,20 +183,20 @@ class RunLog:
                    avg_rewards=rewards, t_start=t_start, meta=meta)
 
 
-def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
-            selector=None, iterations: int = 1,
-            rng: np.random.Generator | None = None,
+def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
+            iterations: int = 1, rng: np.random.Generator | None = None,
             events=()) -> RunLog:
     """The generic selection loop: choose, roll out T_n steps, update.
 
-    events is a list of (iteration, replacement FiniteMdp); each replacement
-    is installed before its iteration's selection, and the environment state
-    survives the swap.  Each MDP, the starting one and every replacement
-    whether it fires or not, is checked against every expert before the
-    first draw, and ValueError names what does not fit.  When selector is
-    None a UCB selector is built from the profiles' k_const fields.
-    Uniforms are drawn from rng ahead of use (the RNG stream contract in
-    mdp), so rng may end past the last one used.
+    selector(state, schedule) returns the index of the expert to pull;
+    ucb_selector(k_consts) is the paper's.  events is a list of (iteration,
+    replacement FiniteMdp); each replacement is installed before its
+    iteration's selection, and the environment state survives the swap.
+    Each MDP, the starting one and every replacement whether it fires or
+    not, is checked against every expert before the first draw, and
+    ValueError names what does not fit.  Uniforms are drawn from rng ahead
+    of use (the RNG stream contract in mdp), so rng may end past the last
+    one used.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -204,10 +205,6 @@ def run_mab(mdp, experts, profiles, schedule: HorizonSchedule,
     hors = schedule.horizons(iterations)
     if rng is None:
         rng = np.random.default_rng()
-    if selector is None:
-        if profiles is None:
-            raise ValueError("need profiles to build the default UCB selector")
-        selector = ucb_selector([p.k_const for p in profiles])
 
     events = sorted(events, key=lambda ev: ev[0])
     for when, replacement in events:

@@ -1,11 +1,11 @@
 """Induced-chain analysis: stationary laws, mixing certificates, gaps.
 
 Every expert policy turns the MDP into a Markov chain.  This module computes
-the quantities the selection index and the regret bounds are built from: the
-stationary distribution mu_e, solved exactly as one linear system, the
-second largest eigenvalue modulus alpha_e, an empirically certified
-geometric-mixing constant C_e with K_e = C_e / (1 - alpha_e), the
-steady-state reward, and the reward gaps.
+what the paper certifies about it: the stationary distribution mu_e, solved
+exactly as one linear system, the second largest eigenvalue modulus alpha_e,
+a certified geometric-mixing constant C_e with K_e = C_e / (1 - alpha_e) and
+the steady reward, all in profile_expert's MixingProfile, and the gaps.  A
+run reads only the steady rewards and the gaps, as plain numbers.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class InducedChain:
 
 @dataclass
 class MixingProfile:
-    """Everything the bandit and the bound curves need to know about one expert."""
+    """The certificate profile_expert gives one expert on one MDP."""
 
     stationary: np.ndarray
     slem: float           # alpha_e
@@ -245,11 +245,11 @@ def steady_state_reward(mdp, policy, stationary: np.ndarray) -> float:
     return float(stationary @ per_state)
 
 
-def gaps(profiles: list[MixingProfile]) -> tuple[int, np.ndarray]:
-    """Best expert (argmax steady reward, ties to the lowest index) and Delta_e."""
-    if not profiles:
-        raise ValueError("need at least one profile")
-    rewards = np.array([p.steady_reward for p in profiles])
+def gaps(steady_rewards) -> tuple[int, np.ndarray]:
+    """Best expert (argmax R_bar_e, ties to the lowest index) and Delta_e."""
+    rewards = np.array(steady_rewards, dtype=float)
+    if not rewards.size:
+        raise ValueError("need at least one steady reward")
     e_star = int(rewards.argmax())
     return e_star, rewards[e_star] - rewards
 

@@ -56,7 +56,7 @@ def cmd_analyze(args) -> int:
         except NotErgodicError as exc:
             raise NotErgodicError(
                 f"expert {policy.expert_id} ({path}): {exc}") from None
-    _, deltas = gaps(profiles)
+    _, deltas = gaps([p.steady_reward for p in profiles])
     header = ("expert", "alpha", "C", "K", "R_bar", "Delta", "irreducible",
               "aperiodic")
     rows = [(policy.expert_id, float(p.slem), float(p.mix_const),

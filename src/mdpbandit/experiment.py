@@ -6,12 +6,12 @@ benchmark), the schedule, the seeds, and any mid-run dynamics events.
 Relative paths inside a spec file are resolved against the file's own
 directory, so a directory of spec plus data files is relocatable.
 
-The selector in these runs uses one uniform confidence constant (bound_k,
-default 2.0, the value a one-step-mixing chain certifies to) for every
-expert rather than the certified per-expert constants: certified constants
-on slowly mixing chains differ by orders of magnitude across experts and
-turn the index into a constant-offset contest the reward signal cannot
-move.  Steady rewards, gaps and the regret reference R_bar* are exact.
+A run reads two numbers per expert: its exact steady reward R_bar_e
+(nominal_profiles), which gives the gaps and the regret reference R_bar*,
+and its confidence constant K_e, the spec's bound_k (default 2.0, the value
+a one-step-mixing chain certifies to) for every expert rather than the
+certified per-expert constants, which on slowly mixing chains differ by
+orders of magnitude and turn the index into a constant-offset contest.
 The closed-form bound curve is evaluated with the same constants the
 selector actually uses, and is reported as nan with a warning when its gap
 precondition fails or when events change the dynamics mid-run.
@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import HorizonSchedule, run_mab
-from .chains import MixingProfile, gaps, induced_chain, \
-    stationary_distribution, steady_state_reward
+from .bandit import HorizonSchedule, run_mab, ucb_selector
+from .chains import gaps, induced_chain, stationary_distribution, \
+    steady_state_reward
 from .gridworld import benchmark_config, build_experts, build_gridworld, \
     load_layout, permute_actions
 from .mdp import _is_int, load_mdp, load_policies, write_csv
@@ -188,31 +188,22 @@ def resolve_environment(spec: ExperimentSpec):
     return mdp, experts, events
 
 
-def nominal_profiles(mdp, experts, bound_k: float = 2.0):
-    """Runtime profiles: stationary laws from the exact linear solve and
-    their steady rewards, with the uniform confidence constant standing in
-    for C_e and K_e (alpha 0, so the K = C/(1 - alpha) invariant holds).
-    Returns (best expert, list)."""
-    profiles = []
-    for policy in experts:
-        chain = induced_chain(mdp, policy)
-        mu = stationary_distribution(chain)
-        profiles.append(MixingProfile(
-            stationary=mu, slem=0.0, mix_const=float(bound_k),
-            k_const=float(bound_k),
-            steady_reward=steady_state_reward(mdp, policy, mu)))
-    return gaps(profiles)[0], profiles
+def nominal_profiles(mdp, experts) -> list:
+    """The exact steady reward R_bar_e of each expert on mdp, a float each,
+    from the linear solve for its stationary law."""
+    return [steady_state_reward(mdp, policy, stationary_distribution(
+        induced_chain(mdp, policy))) for policy in experts]
 
 
 def _seed_task(env, schedule, iterations, seed, out_dir):
-    mdp, experts, events, e_star, profiles = env
+    mdp, experts, events, k_consts, steady_rewards = env
     rng = np.random.default_rng(seed)
-    log = run_mab(mdp, experts, profiles, schedule, None, iterations, rng,
-                  events)
+    log = run_mab(mdp, experts, ucb_selector(k_consts), schedule, iterations,
+                  rng, events)
     log.meta["seed"] = seed
     out = Path(out_dir)
     log.to_csv(out / f"runlog_seed{seed}.csv")
-    curve = cumulative_regret(log, profiles[e_star].steady_reward)
+    curve = cumulative_regret(log, max(steady_rewards))
     vals = np.asarray(curve.values, dtype=float)
     write_csv(out / f"regret_seed{seed}.csv", ("n", "regret"),
               enumerate(vals.tolist()))
@@ -239,7 +230,7 @@ def _start(spec, env, pool) -> list:
 
 def _finish(spec, env, futures) -> dict:
     """Aggregate the seeds in order and write the spec's aggregate files."""
-    _, _, events, e_star, profiles = env
+    _, _, events, k_consts, steady_rewards = env
     regrets, grids, cums = zip(*(future.result() for future in futures))
     mean, std = aggregate_runs(regrets)
     # r(0) = 0 holds unconditionally; without the bound only n >= 1 is nan
@@ -250,7 +241,7 @@ def _finish(spec, env, futures) -> dict:
         bound_status = "events change the dynamics mid-run; bound not defined"
     else:
         try:
-            bound[1:] = ucb_regret_bounds(profiles,
+            bound[1:] = ucb_regret_bounds(k_consts, steady_rewards,
                                           HorizonSchedule(spec.t0, spec.c),
                                           range(1, spec.iterations + 1))
         except GapTooSmallError as exc:
@@ -266,10 +257,10 @@ def _finish(spec, env, futures) -> dict:
     write_reward_time_csv(out / "reward_time.csv", grids[0],
                           np.stack(cums).mean(axis=0))
 
+    e_star, deltas = gaps(steady_rewards)
     return {"label": spec.label, "out": str(out), "seeds": list(spec.seeds),
-            "r_star": float(profiles[e_star].steady_reward),
-            "best_expert": int(e_star),
-            "gaps": gaps(profiles)[1].tolist(),
+            "r_star": steady_rewards[e_star], "best_expert": e_star,
+            "gaps": deltas.tolist(),
             "bound_status": bound_status, "mean_final_regret": float(mean[-1])}
 
 
@@ -280,8 +271,8 @@ def _run_specs(specs, workers: int) -> list:
     for spec in specs:   # a horizon past int64 fails before anything is made
         HorizonSchedule(spec.t0, spec.c).horizons(spec.iterations)
     mdp, experts, events = resolve_environment(specs[0])
-    env = (mdp, experts, events,
-           *nominal_profiles(mdp, experts, specs[0].bound_k))
+    env = (mdp, experts, events, [float(specs[0].bound_k)] * len(experts),
+           nominal_profiles(mdp, experts))
     # a pool of one process would only fork and pickle
     processes = min(workers, sum(len(spec.seeds) for spec in specs))
     with (ProcessPoolExecutor(processes) if processes > 1

@@ -11,8 +11,8 @@ RNG stream contract (what a seeded rollout of T steps consumes): T * d
 uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
 read step by step as (action draw, transition draw, reward draw), whether
 or not the rollout records; a deterministic source reads 0.0 instead,
-which picks the one entry of its row [1.0].  A row is deterministic when
-it has exactly one positive entry (_point_masses), whatever its value.
+which picks the one entry of its row [1.0].  A source is deterministic when
+each row has exactly one positive entry (_point_masses), whatever its value.
 bandit.run_mab draws these values ahead, a few thousand at a time, which
 is the same stream: a run uses the same values in the same order, but the
 caller's generator may end past the last value the run used.
@@ -297,10 +297,10 @@ class _Stepper:
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad))
         pi = policy.policy
-        # a row with exactly one positive entry is a point mass on its
-        # argmax, whatever the entry's value; any other row is drawn
+        # a policy or reward row with exactly one positive entry is a point
+        # mass on its argmax, whatever the entry's value; others are drawn
         self.stoch_pol = not _point_masses(pi).all()
-        self.stoch_rew = mdp.reward_values.shape[-1] > 1
+        self.stoch_rew = not _point_masses(mdp.reward_probs).all()
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
         self.rows = _compact(pi, mdp._rows) if self.stoch_pol else [
             (0.0, 1.0, 0, [1.0], [row[a]])

@@ -66,16 +66,19 @@ def cumulative_regret(log, r_star: float) -> RegretCurve:
                        r_star=float(r_star))
 
 
-def decomposition_terms(log, profiles):
+def decomposition_terms(log, steady_rewards):
     """(term1, term2, term3) per prefix n; their sum equals r(n) exactly.
 
     term1 counts pulls weighted by gaps, term2 is the transient of the
     suboptimal pulls against their own steady rewards, term3 the transient
-    of the optimal pulls against R_bar*.
+    of the optimal pulls against R_bar*.  A log that names an expert
+    outside range(len(steady_rewards)) raises ValueError.
     """
-    e_star, deltas = gaps(profiles)
-    rbar = np.array([p.steady_reward for p in profiles], dtype=np.longdouble)
-    chosen = log.experts
+    e_star, deltas = gaps(steady_rewards)
+    rbar = np.array(steady_rewards, dtype=np.longdouble)
+    chosen = np.asarray(log.experts)
+    if ((chosen < 0) | (chosen >= len(rbar))).any():
+        raise ValueError(f"the log names an expert outside range({len(rbar)})")
     rewards = np.asarray(log.avg_rewards, dtype=np.longdouble)
     is_opt = chosen == e_star
 
@@ -85,10 +88,10 @@ def decomposition_terms(log, profiles):
     return _prefix_sums(inc1), _prefix_sums(inc2), _prefix_sums(inc3)
 
 
-def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
-    """Closed-form expected-regret bound for the UCB selector at each n of
-    the sequence ns, with the gap check and the per-expert constants worked
-    out once.
+def ucb_regret_bounds(k_consts, steady_rewards, schedule, ns) -> np.ndarray:
+    """Closed-form expected-regret bound of the UCB selector with K_e =
+    k_consts[e] on experts of steady rewards R_bar_e, one each, at each n of
+    ns, with the gap check and the per-expert constants worked out once.
 
     Needs Delta_e > 2 K_e / T0 for every suboptimal expert; otherwise the
     logarithmic pull-count argument has nothing to work with and this
@@ -96,20 +99,23 @@ def ucb_regret_bounds(profiles, schedule, ns) -> np.ndarray:
     transient K_* sum_{m<n} 1/T_m is taken in closed form: K_* n / T0 for
     a constant schedule, _harmonic_bound for a growing one.
     """
-    e_star, deltas = gaps(profiles)
+    if len(k_consts) != len(steady_rewards):
+        raise ValueError(f"{len(k_consts)} constants K_e for "
+                         f"{len(steady_rewards)} steady rewards")
+    e_star, deltas = gaps(steady_rewards)
     t0 = schedule.t0
     c = schedule.slope
     terms = []   # (denom^2, Delta_e + K_e/T0) per suboptimal expert
-    for e, p in enumerate(profiles):
+    for e, k in enumerate(k_consts):
         if e == e_star:
             continue
-        denom = deltas[e] - 2.0 * p.k_const / t0
+        denom = deltas[e] - 2.0 * k / t0
         if denom <= 0:
             raise GapTooSmallError(
                 f"expert {e}: gap {deltas[e]:.6f} <= 2 K_e/T0 = "
-                f"{2.0 * p.k_const / t0:.6f}")
-        terms.append((float(denom ** 2), float(deltas[e] + p.k_const / t0)))
-    k_star = profiles[e_star].k_const
+                f"{2.0 * k / t0:.6f}")
+        terms.append((float(denom ** 2), float(deltas[e] + k / t0)))
+    k_star = k_consts[e_star]
     n = np.asarray(ns, dtype=float)
     small = np.flatnonzero(n < 1)
     if small.size:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mdpbandit.bandit import HorizonSchedule, RunLog, run_mab
+from mdpbandit.bandit import HorizonSchedule, RunLog, run_mab, ucb_selector
 from mdpbandit.chains import gaps, profile_expert
 from mdpbandit.experiment import ExperimentSpec, nominal_profiles, run_spec
 from mdpbandit.gridworld import (
@@ -25,19 +25,22 @@ from mdpbandit.gridworld import (
 
 
 class BenchEnv:
-    """Benchmark gridworld with its four experts and nominal profiles."""
+    """Benchmark gridworld with its four experts, their exact steady
+    rewards before and after the dynamics swap, and the uniform K = 2.0
+    the canonical runs select with."""
 
     def __init__(self):
         self.config = benchmark_config()
         self.mdp = build_gridworld(self.config)
         self.experts = build_experts(self.mdp, self.config)
-        self.e_star, self.profiles = nominal_profiles(self.mdp, self.experts)
-        self.r_star = self.profiles[self.e_star].steady_reward
+        self.k_consts = [2.0] * len(self.experts)
+        self.rbar = nominal_profiles(self.mdp, self.experts)
+        self.e_star = gaps(self.rbar)[0]
+        self.r_star = self.rbar[self.e_star]
         self.swapped = permute_actions(self.mdp, BENCHMARK_EVENT_PERMUTATION)
-        self.swap_e_star, self.swap_profiles = nominal_profiles(
-            self.swapped, self.experts
-        )
-        self.swap_r_star = self.swap_profiles[self.swap_e_star].steady_reward
+        self.swap_rbar = nominal_profiles(self.swapped, self.experts)
+        self.swap_e_star = gaps(self.swap_rbar)[0]
+        self.swap_r_star = self.swap_rbar[self.swap_e_star]
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +52,7 @@ def bench():
 def certified(bench):
     """Certified (alpha, C, K) profiles for the four benchmark experts."""
     profiles = [profile_expert(bench.mdp, expert) for expert in bench.experts]
-    return gaps(profiles)[0], profiles
+    return gaps([p.steady_reward for p in profiles])[0], profiles
 
 
 def _read_aggregate(path):
@@ -156,7 +159,7 @@ def hundred_runs(bench):
         run_mab(
             bench.mdp,
             bench.experts,
-            bench.profiles,
+            ucb_selector(bench.k_consts),
             schedule,
             iterations=400,
             rng=np.random.default_rng(seed),

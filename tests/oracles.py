@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from mdpbandit.bandit import BanditState, RunLog, horizon, ucb_selector
-from mdpbandit.chains import MixingProfile, gaps, induced_chain
+from mdpbandit.bandit import BanditState, RunLog, horizon
+from mdpbandit.chains import gaps, induced_chain
 from mdpbandit.mdp import run_expert, sample_initial_state
 from mdpbandit.regret import ucb_regret_bounds
 
@@ -41,17 +41,18 @@ def expected_avg_reward_from_state(mdp, policy, s0: int, T: int) -> float:
     return total / T
 
 
-def decomposition_bound(expected_pulls, profiles, schedule, n: int) -> float:
+def decomposition_bound(expected_pulls, k_consts, steady_rewards, schedule,
+                        n: int) -> float:
     """Sum of E[T_e(n)] (Delta_e + K_e/T0) over suboptimal e, plus the
     best expert's transient K_* sum over 1/T_m."""
-    e_star, deltas = gaps(profiles)
+    e_star, deltas = gaps(steady_rewards)
     t0 = schedule.t0
     total = 0.0
-    for e, p in enumerate(profiles):
+    for e, k in enumerate(k_consts):
         if e == e_star:
             continue
-        total += float(expected_pulls[e]) * (deltas[e] + p.k_const / t0)
-    total += profiles[e_star].k_const * math.fsum(
+        total += float(expected_pulls[e]) * (deltas[e] + k / t0)
+    total += k_consts[e_star] * math.fsum(
         1.0 / horizon(schedule, m) for m in range(n))
     return total
 
@@ -59,9 +60,7 @@ def decomposition_bound(expected_pulls, profiles, schedule, n: int) -> float:
 def harmonic_bound(schedule, ns) -> np.ndarray:
     """The package's closed-form bound on sum_{m<n} 1/T_m at each n of ns:
     the bound curve of a lone expert with K = 1 is exactly that term."""
-    lone = MixingProfile(stationary=np.ones(1), slem=0.0, mix_const=1.0,
-                         k_const=1.0, steady_reward=0.0)
-    return ucb_regret_bounds([lone], schedule, ns)
+    return ucb_regret_bounds([1.0], [0.0], schedule, ns)
 
 
 def harmonic_sum_check(schedule, n: int) -> tuple[float, float]:
@@ -94,12 +93,10 @@ def log_linear_fit(n, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def reference_run_mab(mdp, experts, profiles, schedule, selector=None,
-                      iterations=1, rng=None, events=()):
+def reference_run_mab(mdp, experts, selector, schedule, iterations=1,
+                      rng=None, events=()):
     """run_mab as one run_expert call per pull, each drawing its own
     uniforms: the loop the blocked draws of run_mab must replay exactly."""
-    if selector is None:
-        selector = ucb_selector([p.k_const for p in profiles])
     pending = sorted(events, key=lambda ev: ev[0])
     state = BanditState.fresh(len(experts))
     s = sample_initial_state(mdp, rng)

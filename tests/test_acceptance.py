@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from mdpbandit.bandit import HorizonSchedule, horizon, run_mab
+from mdpbandit.bandit import HorizonSchedule, horizon, run_mab, ucb_selector
 from mdpbandit.chains import gaps, induced_chain, stationary_distribution
 from mdpbandit.regret import (
     GapTooSmallError,
@@ -103,7 +103,7 @@ def test_criterion_3_decomposition_identity(bench, hundred_runs):
     # three-term split reproduces the regret curve to 1e-12, 100 seeded runs
     worst = 0.0
     for log in hundred_runs:
-        t1, t2, t3 = decomposition_terms(log, bench.profiles)
+        t1, t2, t3 = decomposition_terms(log, bench.rbar)
         r = regret_from_rewards(log.avg_rewards, bench.r_star)
         worst = max(worst, float(np.abs((t1 + t2 + t3) - r).max()))
     ok = worst <= 1e-12
@@ -118,7 +118,7 @@ def test_criterion_4_logarithmic_growth(bench, sweep_runs):
     ns = np.arange(2500, 5001)
     _, _, r2 = log_linear_fit(ns, data["mean"][2500:5001])
     rate = data["mean"][5000] / 5000.0
-    delta_max = gaps(bench.profiles)[1].max()
+    delta_max = gaps(bench.rbar)[1].max()
     ok = r2 >= 0.9 and rate <= 0.1 * delta_max and data["elapsed"] < 300.0
     report(4, ok, f"fit R^2 = {r2:.4f}, r(N)/N = {rate:.5f} vs "
                   f"0.1 Delta_max = {0.1 * delta_max:.5f}, "
@@ -140,7 +140,8 @@ def test_criterion_5_bound_dominates_mean(bench, sweep_runs):
         ok = ok and np.isfinite(data["bound"]).all() and (margin >= 0).all()
 
     with pytest.raises(GapTooSmallError):
-        ucb_regret_bounds(bench.profiles, HorizonSchedule(4, 0.1), [1])
+        ucb_regret_bounds(bench.k_consts, bench.rbar, HorizonSchedule(4, 0.1),
+                          [1])
     t0_4 = sweep_runs[4]
     ok = ok and np.isnan(t0_4["bound"][1:]).all() and t0_4["warned"]
     report(5, ok, f"min margin T0=16: {margins[16]:+.2f}, "
@@ -265,7 +266,7 @@ def test_criterion_10_confidence_event_coverage(bench):
     slack = 2.0 / 4.0 + math.sqrt(2.0 * math.log(100.0) / pulls)
     hits = 0
     for seed in range(1000):
-        log = run_mab(bench.mdp, [bench.experts[0]], [bench.profiles[0]],
+        log = run_mab(bench.mdp, [bench.experts[0]], ucb_selector([2.0]),
                       schedule, iterations=pulls,
                       rng=np.random.default_rng(seed))
         empirical = float(np.mean(log.avg_rewards))

@@ -20,18 +20,12 @@ from mdpbandit.bandit import (
     select_ucb,
     ucb_selector,
 )
-from mdpbandit.chains import MixingProfile
 from mdpbandit.gridworld import permute_actions
 from mdpbandit.mdp import ExpertPolicy, FiniteMdp, run_expert
 
 from oracles import reference_run_mab
 from test_mdp import det_policy, make_mdp, one_state_mdp, sparse_rows, \
     swap_or_stay
-
-
-def nominal_profile(r=0.5, k=2.0):
-    return MixingProfile(stationary=np.ones(1), slem=0.0, mix_const=k,
-                         k_const=k, steady_reward=r)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +213,9 @@ def test_ucb_selector_binds_constants():
 def test_run_mab_single_expert_bookkeeping():
     mdp = one_state_mdp([0.3])
     experts = [det_policy([0], 1)]
-    profiles = [nominal_profile(0.3)]
+    ucb = ucb_selector([2.0])
     sched = HorizonSchedule(7, 0.0)
-    log = run_mab(mdp, experts, profiles, sched, iterations=3,
+    log = run_mab(mdp, experts, ucb, sched, iterations=3,
                   rng=np.random.default_rng(0))
     assert len(log) == 3
     np.testing.assert_array_equal(log.experts, [0, 0, 0])
@@ -233,36 +227,37 @@ def test_run_mab_single_expert_bookkeeping():
 
 
 def two_arm_bandit():
-    """One state, two actions, deterministic rewards 1.0 and 0.0."""
+    """One state, two actions, deterministic rewards 1.0 and 0.0: the MDP,
+    one expert per action and the UCB selector with K = 2.0 for both."""
     P = np.ones((1, 2, 1))
     R = np.array([[[1.0], [0.0]]])
     mdp = make_mdp(P, R)
     experts = [det_policy([0], 2), det_policy([1], 2)]
-    profiles = [nominal_profile(1.0), nominal_profile(0.0)]
-    return mdp, experts, profiles
+    ucb = ucb_selector([2.0, 2.0])
+    return mdp, experts, ucb
 
 
 def test_run_mab_two_arms_learns_the_better_one():
     # deterministic rewards make the whole run seed-free; with the
     # 8 ln n exploration constant the split at N=100 is exactly 86/14,
     # and the better arm's share passes 90 percent by N=1000
-    mdp, experts, profiles = two_arm_bandit()
+    mdp, experts, ucb = two_arm_bandit()
     sched = HorizonSchedule(4, 0.0)
     for seed in (0, 99):
-        log = run_mab(mdp, experts, profiles, sched, iterations=100,
+        log = run_mab(mdp, experts, ucb, sched, iterations=100,
                       rng=np.random.default_rng(seed))
         counts = np.bincount(log.experts, minlength=2)
         np.testing.assert_array_equal(counts, [86, 14])
-    log = run_mab(mdp, experts, profiles, sched, iterations=1000,
+    log = run_mab(mdp, experts, ucb, sched, iterations=1000,
                   rng=np.random.default_rng(0))
     counts = np.bincount(log.experts, minlength=2)
     np.testing.assert_array_equal(counts, [964, 36])
 
 
 def test_run_mab_pull_counts_and_time_accounting():
-    mdp, experts, profiles = two_arm_bandit()
+    mdp, experts, ucb = two_arm_bandit()
     sched = HorizonSchedule(4, 0.3)
-    log = run_mab(mdp, experts, profiles, sched, iterations=50,
+    log = run_mab(mdp, experts, ucb, sched, iterations=50,
                   rng=np.random.default_rng(1))
     assert np.bincount(log.experts, minlength=2).sum() == 50
     np.testing.assert_array_equal(
@@ -279,16 +274,16 @@ def test_run_mab_same_seed_is_identical():
     R[..., 1] = 1.0
     mdp = make_mdp(P, R)
     experts = [det_policy([0, 0], 2), det_policy([1, 1], 2)]
-    profiles = [nominal_profile(0.4), nominal_profile(0.6)]
+    ucb = ucb_selector([2.0, 2.0])
     sched = HorizonSchedule(3, 0.2)
-    log_a = run_mab(mdp, experts, profiles, sched, iterations=200,
+    log_a = run_mab(mdp, experts, ucb, sched, iterations=200,
                     rng=np.random.default_rng(5))
-    log_b = run_mab(mdp, experts, profiles, sched, iterations=200,
+    log_b = run_mab(mdp, experts, ucb, sched, iterations=200,
                     rng=np.random.default_rng(5))
     np.testing.assert_array_equal(log_a.experts, log_b.experts)
     np.testing.assert_array_equal(log_a.avg_rewards, log_b.avg_rewards)
     np.testing.assert_array_equal(log_a.start_states, log_b.start_states)
-    log_c = run_mab(mdp, experts, profiles, sched, iterations=200,
+    log_c = run_mab(mdp, experts, ucb, sched, iterations=200,
                     rng=np.random.default_rng(6))
     assert not np.array_equal(log_a.avg_rewards, log_c.avg_rewards)
 
@@ -302,9 +297,9 @@ def test_run_mab_state_continues_across_iterations():
         P[s, 0, (s + 1) % S] = 1.0
     mdp = make_mdp(P, np.zeros((S, 1, S)))
     experts = [det_policy([0] * S, 1)]
-    profiles = [nominal_profile(0.0)]
+    ucb = ucb_selector([2.0])
     sched = HorizonSchedule(3, 0.2)
-    log = run_mab(mdp, experts, profiles, sched, iterations=40,
+    log = run_mab(mdp, experts, ucb, sched, iterations=40,
                   rng=np.random.default_rng(0))
     assert log.start_states[0] == 0
     for n in range(39):
@@ -327,8 +322,8 @@ def test_run_mab_matches_a_manual_replay():
         return state.n % 2
 
     sched = HorizonSchedule(4, 0.1)
-    log = run_mab(mdp, experts, None, sched, selector=alternate,
-                  iterations=30, rng=np.random.default_rng(17))
+    log = run_mab(mdp, experts, alternate, sched, iterations=30,
+                  rng=np.random.default_rng(17))
 
     rng = np.random.default_rng(17)
     s = 0  # initial_dist is a point mass on state 0, no draw consumed
@@ -386,28 +381,25 @@ def mab_cases(draw):
         else:
             events.append((when, random_environment(
                 g, S, A, draw(st.sampled_from([1, 2, 12])), False)))
-    profiles = [nominal_profile(k=draw(st.sampled_from([0.0, 0.5, 2.0])))
-                for _ in experts]
-    selector = None
+    selector = ucb_selector([draw(st.sampled_from([0.0, 0.5, 2.0]))
+                             for _ in experts])
     if draw(st.booleans()):
         def selector(state, schedule):
             return (3 * state.n + 1) % len(experts)
     seed = draw(st.integers(0, 2**32 - 1))
     block = draw(st.sampled_from([1, 5, 64, 4096]))
-    return (mdp, experts, profiles, schedule, selector, iterations, seed,
-            events), block
+    return (mdp, experts, selector, schedule, iterations, seed, events), block
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(mab_cases())
 def test_run_mab_replays_the_per_pull_loop(case):
-    (mdp, experts, profiles, schedule, selector, iterations, seed,
-     events), block = case
+    (mdp, experts, selector, schedule, iterations, seed, events), block = case
     with mock.patch.object(bandit, "_BLOCK", block):
-        log = run_mab(mdp, experts, profiles, schedule, selector, iterations,
+        log = run_mab(mdp, experts, selector, schedule, iterations,
                       np.random.default_rng(seed), events)
-    ref = reference_run_mab(mdp, experts, profiles, schedule, selector,
-                            iterations, np.random.default_rng(seed), events)
+    ref = reference_run_mab(mdp, experts, selector, schedule, iterations,
+                            np.random.default_rng(seed), events)
     for name in ("experts", "horizons", "start_states", "avg_rewards",
                  "t_start"):
         got, want = getattr(log, name), getattr(ref, name)
@@ -425,7 +417,7 @@ def test_run_mab_rejects_a_horizon_past_int64_before_the_first_pull():
         with pytest.raises(ValueError, match=r"horizon T_2 = .* does not "
                            r"fit a 64-bit step count"):
             run_mab(one_state_mdp([1.0]), [det_policy([0], 1)],
-                    [nominal_profile()], HorizonSchedule(4, slope),
+                    ucb_selector([2.0]), HorizonSchedule(4, slope),
                     iterations=3, rng=rng)
     assert rng.bit_generator.state == before
 
@@ -435,20 +427,20 @@ def test_run_mab_events_swap_the_environment():
     mdp = one_state_mdp([1.0])
     flipped = one_state_mdp([0.0])
     experts = [det_policy([0], 1)]
-    profiles = [nominal_profile(1.0)]
+    ucb = ucb_selector([2.0])
     sched = HorizonSchedule(4, 0.0)
-    log = run_mab(mdp, experts, profiles, sched, iterations=10,
+    log = run_mab(mdp, experts, ucb, sched, iterations=10,
                   rng=np.random.default_rng(0), events=[(5, flipped)])
     np.testing.assert_array_equal(log.avg_rewards[:5], np.ones(5))
     np.testing.assert_array_equal(log.avg_rewards[5:], np.zeros(5))
     assert log.meta["events"] == "5"
     assert "unfired_events" not in log.meta
 
-    log = run_mab(mdp, experts, profiles, sched, iterations=10,
+    log = run_mab(mdp, experts, ucb, sched, iterations=10,
                   rng=np.random.default_rng(0), events=[(0, flipped)])
     np.testing.assert_array_equal(log.avg_rewards, np.zeros(10))
 
-    log = run_mab(mdp, experts, profiles, sched, iterations=10,
+    log = run_mab(mdp, experts, ucb, sched, iterations=10,
                   rng=np.random.default_rng(0), events=[(99, flipped)])
     np.testing.assert_array_equal(log.avg_rewards, np.ones(10))
     assert log.meta["unfired_events"] == "99"
@@ -458,7 +450,7 @@ def test_run_mab_event_dimension_mismatch():
     mdp = one_state_mdp([1.0])
     bad = make_mdp(np.ones((2, 1, 2)) / 2, np.zeros((2, 1, 2)))
     with pytest.raises(ValueError, match="event at iteration 3"):
-        run_mab(mdp, [det_policy([0], 1)], [nominal_profile()],
+        run_mab(mdp, [det_policy([0], 1)], ucb_selector([2.0]),
                 HorizonSchedule(4, 0.0), iterations=5,
                 rng=np.random.default_rng(0), events=[(3, bad)])
 
@@ -479,9 +471,8 @@ def test_run_mab_rejects_an_invalid_event_mdp_before_the_first_pull(when):
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
                        r"0\.5 at \(s=0, a=0\)"):
-        run_mab(mdp, [det_policy([0], 1)], None, HorizonSchedule(4, 0.0),
-                selector=selector, iterations=5, rng=rng,
-                events=[(when, leaky)])
+        run_mab(mdp, [det_policy([0], 1)], selector, HorizonSchedule(4, 0.0),
+                iterations=5, rng=rng, events=[(when, leaky)])
     assert calls == [] and rng.bit_generator.state == before
 
 
@@ -492,7 +483,7 @@ def test_a_policy_edited_in_place_between_runs_samples_its_new_actions():
     runs = []
     for pi in (swap.policy, stay.policy):
         expert.policy[:] = pi
-        log = run_mab(mdp, [expert], [nominal_profile()],
+        log = run_mab(mdp, [expert], ucb_selector([2.0]),
                       HorizonSchedule(2, 0.0), iterations=3,
                       rng=np.random.default_rng(0))
         runs.append(log.avg_rewards.tolist())
@@ -503,12 +494,14 @@ def test_run_mab_argument_validation():
     mdp = one_state_mdp([1.0])
     experts = [det_policy([0], 1)]
     with pytest.raises(ValueError):
-        run_mab(mdp, experts, [nominal_profile()], HorizonSchedule(4, 0.0),
+        run_mab(mdp, experts, ucb_selector([2.0]), HorizonSchedule(4, 0.0),
                 iterations=0)
     with pytest.raises(ValueError):
-        run_mab(mdp, [], [], HorizonSchedule(4, 0.0), iterations=1)
-    with pytest.raises(ValueError):
-        run_mab(mdp, experts, None, HorizonSchedule(4, 0.0), iterations=1)
+        run_mab(mdp, [], ucb_selector([]), HorizonSchedule(4, 0.0),
+                iterations=1)
+    # a run names its selector: there is no default to fall back on
+    with pytest.raises(TypeError, match="selector"):
+        run_mab(mdp, experts, schedule=HorizonSchedule(4, 0.0), iterations=1)
 
 
 def test_run_mab_rejects_a_policy_that_does_not_fit_the_mdp(bench):
@@ -516,18 +509,18 @@ def test_run_mab_rejects_a_policy_that_does_not_fit_the_mdp(bench):
     narrow = ExpertPolicy(policy=np.full((25, 2), 0.5))
     with pytest.raises(ValueError, match=r"invalid policy: policy shape "
                        r"\(25, 2\) does not match \(25, 4\)"):
-        run_mab(bench.mdp, [narrow], None, HorizonSchedule(4, 0.0),
-                selector=lambda state, schedule: 0, iterations=3,
+        run_mab(bench.mdp, [narrow], lambda state, schedule: 0,
+                HorizonSchedule(4, 0.0), iterations=3,
                 rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
 def test_run_mab_rejects_a_selector_index_out_of_range(bad):
     # -1 would otherwise run the last expert and log expert -1
-    mdp, experts, profiles = two_arm_bandit()
+    mdp, experts, _ = two_arm_bandit()
     with pytest.raises(ValueError, match=f"selector chose expert {bad} "):
-        run_mab(mdp, experts, profiles, HorizonSchedule(4, 0.0),
-                selector=lambda state, schedule: bad, iterations=3,
+        run_mab(mdp, experts, lambda state, schedule: bad,
+                HorizonSchedule(4, 0.0), iterations=3,
                 rng=np.random.default_rng(0))
 
 
@@ -536,9 +529,9 @@ def test_run_mab_rejects_a_selector_index_out_of_range(bad):
 
 
 def test_runlog_csv_round_trip(tmp_path):
-    mdp, experts, profiles = two_arm_bandit()
+    mdp, experts, ucb = two_arm_bandit()
     sched = HorizonSchedule(4, 0.1)
-    log = run_mab(mdp, experts, profiles, sched, iterations=25,
+    log = run_mab(mdp, experts, ucb, sched, iterations=25,
                   rng=np.random.default_rng(3))
     path = tmp_path / "log.csv"
     log.to_csv(path)
@@ -556,11 +549,11 @@ def test_runlog_csv_round_trip(tmp_path):
 
 
 def test_runlog_rerun_writes_identical_bytes(tmp_path):
-    mdp, experts, profiles = two_arm_bandit()
+    mdp, experts, ucb = two_arm_bandit()
     sched = HorizonSchedule(4, 0.1)
     paths = []
     for tag in ("a", "b"):
-        log = run_mab(mdp, experts, profiles, sched, iterations=40,
+        log = run_mab(mdp, experts, ucb, sched, iterations=40,
                       rng=np.random.default_rng(11))
         p = tmp_path / f"{tag}.csv"
         log.to_csv(p)

@@ -550,29 +550,20 @@ def test_expected_avg_reward_rejects_bad_arguments():
 # gaps and full profiles
 
 
-def _profile_with_reward(r):
-    from mdpbandit.chains import MixingProfile
-
-    return MixingProfile(stationary=np.ones(1), slem=0.0, mix_const=2.0,
-                         k_const=2.0, steady_reward=r)
-
-
 def test_gaps_hand_values():
-    profiles = [_profile_with_reward(r) for r in (0.74, 0.03, 0.08, 0.09)]
-    e_star, deltas = gaps(profiles)
+    e_star, deltas = gaps([0.74, 0.03, 0.08, 0.09])
     assert e_star == 0
     np.testing.assert_allclose(deltas, [0.0, 0.71, 0.66, 0.65], atol=1e-12)
 
 
 def test_gaps_tie_goes_to_lower_index():
-    profiles = [_profile_with_reward(r) for r in (0.5, 0.5)]
-    e_star, deltas = gaps(profiles)
+    e_star, deltas = gaps([0.5, 0.5])
     assert e_star == 0
     np.testing.assert_array_equal(deltas, [0.0, 0.0])
 
 
 def test_gaps_single_expert_and_empty_list():
-    e_star, deltas = gaps([_profile_with_reward(0.4)])
+    e_star, deltas = gaps([0.4])
     assert e_star == 0 and deltas[0] == 0.0
     with pytest.raises(ValueError):
         gaps([])

@@ -1,5 +1,6 @@
 """Experiment specs, the run/sweep pipeline, and the command line."""
 
+import hashlib
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import mdpbandit
 from mdpbandit import chains, experiment
-from mdpbandit.bandit import RunLog
+from mdpbandit.bandit import HorizonSchedule, RunLog
 from mdpbandit.cli import main
 from mdpbandit.experiment import (
     ExperimentSpec,
@@ -32,8 +33,10 @@ from mdpbandit.experiment import (
     save_spec,
     sweep_spec,
 )
-from mdpbandit.gridworld import permute_actions
-from mdpbandit.mdp import ExpertPolicy, load_mdp, save_mdp, save_policy
+from mdpbandit.gridworld import BENCHMARK_EVENT_PERMUTATION, permute_actions
+from mdpbandit.mdp import ExpertPolicy, FiniteMdp, load_mdp, save_mdp, \
+    save_policy
+from mdpbandit.regret import ucb_regret_bounds
 from oracles import log_linear_fit
 from test_mdp import det_policy, make_mdp, random_mdp
 
@@ -197,15 +200,25 @@ def test_resolve_environment_events_permute_the_original(tmp_path):
     np.testing.assert_array_equal(events[1][1].transition, expected)
 
 
-def test_nominal_profiles_uniform_constants(bench):
-    e_star, profiles = nominal_profiles(bench.mdp, bench.experts, bound_k=3.5)
-    assert e_star == 0
-    for p in profiles:
-        assert p.slem == 0.0
-        assert p.mix_const == 3.5 and p.k_const == 3.5
-    deltas = chains.gaps(profiles)[1]
-    assert deltas[0] == 0.0
+def test_nominal_profiles_are_the_certified_steady_rewards(bench, certified):
+    rbar = nominal_profiles(bench.mdp, bench.experts)
+    assert all(type(r) is float for r in rbar)
+    assert rbar == [p.steady_reward for p in certified[1]]
+    e_star, deltas = chains.gaps(rbar)
+    assert e_star == 0 and deltas[0] == 0.0
     assert all(deltas[1:] > 0.6)
+
+
+def test_bound_k_reaches_the_selector_and_the_bound_column(bench, tmp_path):
+    spec = ExperimentSpec(label="k", t0=16, c=0.1, iterations=40,
+                          seeds=[0, 1], out=str(tmp_path), bound_k=3.5)
+    with mock.patch.object(experiment, "ucb_selector",
+                           wraps=experiment.ucb_selector) as selector:
+        run_spec(spec)
+    assert selector.call_args_list == [mock.call([3.5] * 4)] * 2
+    *_, bound = read_aggregate(tmp_path / "aggregate.csv")
+    assert bound[1:].tolist() == ucb_regret_bounds(
+        [3.5] * 4, bench.rbar, HorizonSchedule(16, 0.1), range(1, 41)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1165,3 +1178,76 @@ def test_console_script_is_installed(tmp_path):
     assert out.returncode == 0
     for word in ("analyze", "run", "sweep", "bench"):
         assert word in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# run-log bytes
+
+
+# sha256 of each run log below.  A run log holds only what the sampler drew
+# and the selector chose, so a change to either shows here first; a change
+# meant to shift the stream updates these and says so in CHANGES.md.
+RUNLOG_DIGESTS = {
+    "event/runlog_seed0.csv":
+        "8ac48eb5e161e5e6ec95775efaf3cfaad4ea6d2ed209ced2671b0bc4c1796b3e",
+    "event/runlog_seed1.csv":
+        "327482ee660b208f066438573b28d0eebad8c38ce58fedd9b747f0845bd89050",
+    "general/runlog_seed0.csv":
+        "b01b7309be1378d94fe92f7995e80ef1a2c43c3bd5561b30c19b99f4df0fcf9c",
+    "general/runlog_seed1.csv":
+        "641006be89025529b86923d271c54531399361f9d1a318ca42da0e95a6089070",
+    "sweep/t0_16/runlog_seed0.csv":
+        "e71518b43694d66d53cf362c26d589e7f2273127653b50f30b553e32b916debe",
+    "sweep/t0_16/runlog_seed1.csv":
+        "a2d247bb8489667bcbe924d41e4ebb6c06ef6fcd14f72cd8ddf1220eb8664765",
+    "sweep/t0_4/runlog_seed0.csv":
+        "bde3dd9e46a53754bbbd04be5fa9cbcf0ebd290ae9be0f38574448b6f273f94e",
+    "sweep/t0_4/runlog_seed1.csv":
+        "4dc1df8bc14d31c5343ff598adba11a1b85662befd6abd36262e54a1d0961e94",
+}
+
+
+def general_path_files(directory):
+    """An MDP on 4 states and 3 actions with two-point rewards, a spread
+    initial law and two eps-mixed experts, from a fixed generator, saved
+    as files: every step draws its action, transition and reward."""
+    g = np.random.default_rng(20261020)
+    S, A = 4, 3
+
+    def rows(shape):
+        w = g.random(shape) + 0.05
+        return w / w.sum(axis=-1, keepdims=True)
+
+    save_mdp(FiniteMdp(n_states=S, n_actions=A, transition=rows((S, A, S)),
+                       reward_values=g.random((S, A, S, 2)),
+                       reward_probs=rows((S, A, S, 2)),
+                       initial_dist=rows((S,))), directory / "mdp.json")
+    experts = []
+    for e, eps in enumerate((0.1, 0.4)):
+        greedy = np.eye(A)[(g.random(S) * A).astype(int)]
+        experts.append(str(directory / f"expert_{e}.json"))
+        save_policy(ExpertPolicy(policy=(1.0 - eps) * greedy + eps / A,
+                                 expert_id=e), experts[-1])
+    return str(directory / "mdp.json"), experts
+
+
+def test_run_log_bytes_are_pinned(tmp_path):
+    mdp, experts = general_path_files(tmp_path)
+    bench = dict(c=0.1, iterations=200, seeds=[0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # bound unavailable at T0 = 4
+        sweep_spec(ExperimentSpec(label="sweep", t0=4, out=str(
+            tmp_path / "sweep"), **bench), [4, 16])
+        run_spec(ExperimentSpec(
+            label="event", t0=4, out=str(tmp_path / "event"), events=[
+                {"iteration": 100,
+                 "permutation": list(BENCHMARK_EVENT_PERMUTATION)}],
+            **bench))
+        run_spec(ExperimentSpec(label="general", t0=3, c=0.5, iterations=150,
+                                seeds=[0, 1], out=str(tmp_path / "general"),
+                                mdp=mdp, experts=experts))
+    got = {p.relative_to(tmp_path).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("runlog_seed*.csv"))}
+    assert got == RUNLOG_DIGESTS, \
+        "new run-log digests:\n" + json.dumps(got, indent=1)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpbandit.chains import check_ergodicity, gaps, induced_chain
+from mdpbandit.chains import check_ergodicity, gaps, induced_chain, \
+    stationary_distribution
 from mdpbandit.gridworld import (
     BENCHMARK_EVENT_ITERATION,
     BENCHMARK_EVENT_PERMUTATION,
@@ -322,23 +323,21 @@ def test_benchmark_expert_chains_are_ergodic(bench):
 
 
 def test_benchmark_steady_rewards_frozen(bench):
-    got = [p.steady_reward for p in bench.profiles]
-    np.testing.assert_allclose(got, BENCH_STEADY, atol=1e-9)
+    np.testing.assert_allclose(bench.rbar, BENCH_STEADY, atol=1e-9)
     assert bench.e_star == 0
     np.testing.assert_allclose(
-        gaps(bench.profiles)[1],
+        gaps(bench.rbar)[1],
         [0.0, BENCH_STEADY[0] - BENCH_STEADY[1],
          BENCH_STEADY[0] - BENCH_STEADY[2],
          BENCH_STEADY[0] - BENCH_STEADY[3]], atol=1e-9)
 
 
 def test_benchmark_swap_makes_expert_two_best(bench):
-    got = [p.steady_reward for p in bench.swap_profiles]
-    np.testing.assert_allclose(got, SWAP_STEADY, atol=1e-9)
+    np.testing.assert_allclose(bench.swap_rbar, SWAP_STEADY, atol=1e-9)
     assert bench.swap_e_star == 2
     assert bench.swap_r_star == pytest.approx(bench.r_star, abs=1e-9)
     # the moderate arm: close enough to keep getting pulled after the swap
-    assert gaps(bench.swap_profiles)[1][3] == pytest.approx(0.194, abs=1e-3)
+    assert gaps(bench.swap_rbar)[1][3] == pytest.approx(0.194, abs=1e-3)
 
 
 def test_benchmark_certified_profiles_frozen(certified):
@@ -361,7 +360,7 @@ def test_benchmark_stationary_masses_concentrate_near_the_goals(bench):
     # the winning expert spends most of its time cycling the green cells;
     # its loop cuts through the trap next to the goal column (state 14)
     # but barely touches the rest of the trap band
-    mu = bench.profiles[0].stationary
+    mu = stationary_distribution(induced_chain(bench.mdp, bench.experts[0]))
     assert mu[[4, 9]].sum() > 0.5
     assert mu[14] < 0.3
     assert mu[12:14].sum() < 0.01

@@ -352,8 +352,10 @@ def reference_run(mdp, policy, s0, T, rng, record):
     rcdf = full_cdf(mdp.reward_probs).tolist()
     pi = policy.policy
     stoch_pol = not ((pi > 0).sum(axis=1) == 1).all()
-    stoch_rew = mdp.reward_values.shape[-1] > 1
+    stoch_rew = not ((mdp.reward_probs > 0).sum(axis=-1) == 1).all()
     act = pi.argmax(axis=1).tolist()
+    # the one positive entry of each reward row, read when no row is drawn
+    rpos = mdp.reward_probs.argmax(axis=-1).tolist()
     pol_cdf = full_cdf(pi).tolist()
     total, s = 0.0, s0
     states, actions, rewards = [s0], [], []
@@ -361,13 +363,14 @@ def reference_run(mdp, policy, s0, T, rng, record):
         for x in rng.random(T).tolist():
             a = act[s]
             j = bisect_right(cdf[s][a], x)
-            total += rvals[s][a][j][0]
+            total += rvals[s][a][j][rpos[s][a][j]]
             s = j
     else:
         for row in rng.random((T, 1 + stoch_pol + stoch_rew)).tolist():
             a = bisect_right(pol_cdf[s], row[0]) if stoch_pol else act[s]
             j = bisect_right(cdf[s][a], row[stoch_pol])
-            v = bisect_right(rcdf[s][a][j], row[-1]) if stoch_rew else 0
+            v = bisect_right(rcdf[s][a][j], row[-1]) if stoch_rew \
+                else rpos[s][a][j]
             r = rvals[s][a][j][v]
             total += r
             states.append(j)
@@ -651,6 +654,26 @@ def test_a_policy_row_is_a_point_mass_only_with_one_positive_entry(
         run_expert(mdp, policy, 0, 5, rng, record)
         ref.random(5 * width)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("probs, width, reward", [([1.0, 0.0], 1, 0.3),
+                                                  ([0.0, 1.0], 1, 0.9),
+                                                  ([0.5, 0.5], 2, None)])
+def test_a_reward_row_is_a_point_mass_only_with_one_positive_entry(
+        probs, width, reward):
+    # a two-point reward row with one positive entry took a uniform a step
+    # that could not change the reward, and kept the run off the fast path
+    mdp = FiniteMdp(n_states=1, n_actions=1, transition=np.ones((1, 1, 1)),
+                    reward_values=np.array([[[[0.3, 0.9]]]]),
+                    reward_probs=np.array([[[probs]]]),
+                    initial_dist=np.ones(1))
+    assert validate_mdp(mdp) == []
+    for record in (False, True):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 5, rng, record)
+        ref.random(5 * width)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert reward is None or avg == pytest.approx(reward, abs=1e-12)
 
 
 def test_sample_initial_state_matches_distribution():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdpbandit.bandit import HorizonSchedule, RunLog, horizon
-from mdpbandit.chains import MixingProfile, gaps
+from mdpbandit.chains import gaps
 from mdpbandit.regret import (
     GapTooSmallError,
     RegretCurve,
@@ -23,11 +23,6 @@ from mdpbandit.regret import (
 )
 
 from oracles import decomposition_bound, harmonic_sum_check, log_linear_fit
-
-
-def prof(r, k=2.0):
-    return MixingProfile(stationary=np.ones(1), slem=0.0, mix_const=k,
-                         k_const=k, steady_reward=r)
 
 
 def synthetic_log(experts, rewards, t0=4, c=0.0):
@@ -93,9 +88,8 @@ def test_cumulative_regret_wraps_the_log():
 
 
 def test_decomposition_all_optimal_exact_rewards_vanishes():
-    profiles = [prof(0.74), prof(0.03)]
     log = synthetic_log([0, 0, 0], [0.74, 0.74, 0.74])
-    t1, t2, t3 = decomposition_terms(log, profiles)
+    t1, t2, t3 = decomposition_terms(log, [0.74, 0.03])
     for term in (t1, t2, t3):
         np.testing.assert_allclose(np.asarray(term, dtype=float), 0.0, atol=1e-15)
 
@@ -103,9 +97,8 @@ def test_decomposition_all_optimal_exact_rewards_vanishes():
 def test_decomposition_single_suboptimal_pull_lands_in_term_one():
     # pulling expert 1 with reward exactly its own steady rate: the whole
     # regret increment is the gap, terms two and three stay zero
-    profiles = [prof(0.74), prof(0.03)]
     log = synthetic_log([1], [0.03])
-    t1, t2, t3 = decomposition_terms(log, profiles)
+    t1, t2, t3 = decomposition_terms(log, [0.74, 0.03])
     assert float(t1[1]) == pytest.approx(0.71, abs=1e-12)
     assert float(t2[1]) == pytest.approx(0.0, abs=1e-15)
     assert float(t3[1]) == pytest.approx(0.0, abs=1e-15)
@@ -113,14 +106,21 @@ def test_decomposition_single_suboptimal_pull_lands_in_term_one():
 
 def test_decomposition_identity_on_mixed_synthetic_run():
     rng = np.random.default_rng(4)
-    profiles = [prof(0.7), prof(0.2), prof(0.4)]
     experts = rng.integers(0, 3, size=300)
     rewards = rng.random(300)
     log = synthetic_log(experts, rewards)
-    t1, t2, t3 = decomposition_terms(log, profiles)
+    t1, t2, t3 = decomposition_terms(log, [0.7, 0.2, 0.4])
     r = regret_from_rewards(rewards, 0.7)
     gap = np.abs(np.asarray(t1 + t2 + t3 - r, dtype=float))
     assert gap.max() <= 1e-12
+
+
+def test_decomposition_rejects_an_expert_outside_the_rewards():
+    # a -1 would otherwise index the last expert's gap and steady reward
+    for experts in ([0, -1, 1], [0, 2, 1]):
+        log = synthetic_log(experts, [0.6, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            decomposition_terms(log, [0.6, 0.3])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -133,9 +133,7 @@ def test_decomposition_terms_sum_to_the_regret(steady, n, seed):
     rng = np.random.default_rng(seed)
     experts = rng.integers(0, len(steady), size=n)
     rewards = rng.random(n)
-    profiles = [prof(r) for r in steady]
-    t1, t2, t3 = decomposition_terms(synthetic_log(experts, rewards),
-                                     profiles)
+    t1, t2, t3 = decomposition_terms(synthetic_log(experts, rewards), steady)
     r = regret_from_rewards(rewards, max(steady))
     error = np.abs(np.asarray(t1 + t2 + t3 - r, dtype=float))
     scale = np.maximum(1.0, np.abs(np.asarray(r, dtype=float)))
@@ -145,7 +143,7 @@ def test_decomposition_terms_sum_to_the_regret(steady, n, seed):
 def test_decomposition_identity_on_benchmark_runs(bench, hundred_runs):
     worst = 0.0
     for log in hundred_runs[:5]:
-        t1, t2, t3 = decomposition_terms(log, bench.profiles)
+        t1, t2, t3 = decomposition_terms(log, bench.rbar)
         r = regret_from_rewards(log.avg_rewards, bench.r_star)
         worst = max(worst, np.abs(np.asarray(t1 + t2 + t3 - r, dtype=float)).max())
     assert worst <= 1e-12
@@ -156,19 +154,18 @@ def test_decomposition_identity_on_benchmark_runs(bench, hundred_runs):
 
 
 def test_decomposition_bound_single_pull_hand_value():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.03)]
     sched = HorizonSchedule(4, 0.1)
     # n=0: no transient sum yet, one expected suboptimal pull
-    got = decomposition_bound([0.0, 1.0], profiles, sched, 0)
+    got = decomposition_bound([0.0, 1.0], [2.0, 2.03], [0.74, 0.03], sched, 0)
     assert got == pytest.approx(0.71 + 2.03 / 4, abs=1e-12)
 
 
 def test_decomposition_bound_constant_schedule_transient():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.0)]
+    ks, rbar = [2.0, 2.0], [0.74, 0.03]
     sched = HorizonSchedule(4, 0.0)
-    base = decomposition_bound([0.0, 0.0], profiles, sched, 0)
+    base = decomposition_bound([0.0, 0.0], ks, rbar, sched, 0)
     assert base == 0.0
-    got = decomposition_bound([0.0, 0.0], profiles, sched, 12)
+    got = decomposition_bound([0.0, 0.0], ks, rbar, sched, 12)
     assert got == pytest.approx(2.0 * 12 / 4, abs=1e-12)
 
 
@@ -191,26 +188,33 @@ def test_decomposition_bound_dominates_benchmark_mean(bench, certified,
         for log in hundred_runs:
             pulls += np.bincount(log.experts[:n], minlength=4)
         pulls /= len(hundred_runs)
-        bound = decomposition_bound(pulls, profiles, sched, n)
+        bound = decomposition_bound(pulls, [p.k_const for p in profiles],
+                                    bench.rbar, sched, n)
         assert mean[n] <= bound
         assert mean[n] / bound < 0.05  # not a near miss
 
 
-def bound_at(profiles, schedule, n):
+def bound_at(k_consts, steady_rewards, schedule, n):
     """The bound curve at the single iteration n."""
-    return ucb_regret_bounds(profiles, schedule, [n])[0]
+    return ucb_regret_bounds(k_consts, steady_rewards, schedule, [n])[0]
 
 
 def test_ucb_regret_bound_small_gap_raises():
-    profiles = [prof(0.74, 2.0), prof(0.24, 2.0)]  # gap 0.5 <= 2 K/T0 = 1
+    # gap 0.5 <= 2 K/T0 = 1
     with pytest.raises(GapTooSmallError, match="expert 1"):
-        bound_at(profiles, HorizonSchedule(4, 0.1), 10)
+        bound_at([2.0, 2.0], [0.74, 0.24], HorizonSchedule(4, 0.1), 10)
+
+
+def test_ucb_regret_bounds_reject_lists_of_different_lengths():
+    sched = HorizonSchedule(16, 0.1)
+    for ks, rbar in [([2.0], [0.74, 0.03]), ([2.0, 2.0, 2.0], [0.74, 0.03])]:
+        with pytest.raises(ValueError, match="constants K_e for"):
+            ucb_regret_bounds(ks, rbar, sched, [1])
 
 
 def test_ucb_regret_bound_first_iteration_closed_form():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.0)]
     sched = HorizonSchedule(16, 0.1)
-    got = bound_at(profiles, sched, 1)
+    got = bound_at([2.0, 2.0], [0.74, 0.03], sched, 1)
     # ln 1 = 0 leaves the constant pull term and the best expert's first
     # transient summand K_*/T_0
     expected = (1.0 + math.pi ** 2 / 3.0) * (0.71 + 2.0 / 16.0) + 2.0 / 16
@@ -218,14 +222,14 @@ def test_ucb_regret_bound_first_iteration_closed_form():
 
 
 def test_ucb_regret_bound_constant_schedule_linear_term():
-    profiles = [prof(0.74, 2.0)]  # lone expert: only the transient term
+    # lone expert: only the transient term
     sched = HorizonSchedule(8, 0.0)
     for n in (1, 10, 100):
-        assert bound_at(profiles, sched, n) == pytest.approx(
+        assert bound_at([2.0], [0.74], sched, n) == pytest.approx(
             2.0 * n / 8.0, abs=1e-12)
     grow = HorizonSchedule(8, 0.5)
     for n in (1, 10, 100):
-        assert bound_at(profiles, grow, n) == pytest.approx(
+        assert bound_at([2.0], [0.74], grow, n) == pytest.approx(
             2.0 * (1.0 / 8 + (1.0 / 0.5) * math.log((7.5 + 0.5 * (n - 1))
                                                     / 7.5)), abs=1e-12)
 
@@ -235,43 +239,42 @@ def test_ucb_regret_bound_covers_a_lone_experts_exact_transient(t0, c):
     # a lone expert's bound is its transient alone, so it may not fall
     # below the exact K_* sum_{m<n} 1/T_m that decomposition_bound adds up,
     # which is already K_*/T0 at n = 1
-    profiles = [prof(0.74, 2.0)]
     sched = HorizonSchedule(t0, c)
     for n in range(1, 2001):
-        assert bound_at(profiles, sched, n) >= decomposition_bound(
-            [0.0], profiles, sched, n), n
+        assert bound_at([2.0], [0.74], sched, n) >= decomposition_bound(
+            [0.0], [2.0], [0.74], sched, n), n
 
 
 def test_ucb_regret_bound_monotone_in_n():
-    profiles = [prof(0.74, 2.0), prof(0.03, 2.0), prof(0.1, 2.0)]
+    ks, rbar = [2.0, 2.0, 2.0], [0.74, 0.03, 0.1]
     sched = HorizonSchedule(16, 0.1)
-    vals = [bound_at(profiles, sched, n) for n in range(1, 200)]
+    vals = [bound_at(ks, rbar, sched, n) for n in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
-        bound_at(profiles, sched, 0)
+        bound_at(ks, rbar, sched, 0)
     with pytest.raises(ValueError, match=r"^n must be >= 1, got -2$"):
-        ucb_regret_bounds(profiles, sched, [3, -2, 0])
+        ucb_regret_bounds(ks, rbar, sched, [3, -2, 0])
 
 
-def per_n_ucb_regret_bound(profiles, schedule, n):
-    """The bound worked out from the profiles at every n, gap check
+def per_n_ucb_regret_bound(k_consts, steady_rewards, schedule, n):
+    """The bound worked out from the constants at every n, gap check
     included: the oracle for the once-per-run constants of
     ucb_regret_bounds, which must agree bit for bit."""
-    e_star, deltas = gaps(profiles)
+    e_star, deltas = gaps(steady_rewards)
     t0 = schedule.t0
     c = schedule.slope
     total = 0.0
-    for e, p in enumerate(profiles):
+    for e, k in enumerate(k_consts):
         if e == e_star:
             continue
-        denom = deltas[e] - 2.0 * p.k_const / t0
+        denom = deltas[e] - 2.0 * k / t0
         if denom <= 0:
             raise GapTooSmallError(
                 f"expert {e}: gap {deltas[e]:.6f} <= 2 K_e/T0 = "
-                f"{2.0 * p.k_const / t0:.6f}")
+                f"{2.0 * k / t0:.6f}")
         pulls = 32.0 * math.log(n) / denom ** 2 + 1.0 + math.pi ** 2 / 3.0
-        total += pulls * (deltas[e] + p.k_const / t0)
-    k_star = profiles[e_star].k_const
+        total += pulls * (deltas[e] + k / t0)
+    k_star = k_consts[e_star]
     if c > 0:
         total += k_star * (1.0 / t0 + (1.0 / c) * math.log(
             (t0 - 0.5 + c * (n - 1)) / (t0 - 0.5)))
@@ -284,24 +287,23 @@ def per_n_ucb_regret_bound(profiles, schedule, n):
 @pytest.mark.parametrize("c", [0.0, 0.1])
 def test_ucb_regret_bounds_equal_the_per_n_form(t0, c):
     # the best expert sits second, so the expert-order sum skips a middle term
-    profiles = [prof(0.5, 0.1), prof(0.74, 0.2), prof(0.03, 0.25),
-                prof(0.2, 0.3)]
+    ks, rbar = [0.1, 0.2, 0.25, 0.3], [0.5, 0.74, 0.03, 0.2]
     sched = HorizonSchedule(t0, c)
     ns = range(1, 20001)
-    expected = [per_n_ucb_regret_bound(profiles, sched, n) for n in ns]
-    assert ucb_regret_bounds(profiles, sched, ns).tolist() == expected
-    assert [bound_at(profiles, sched, n) for n in ns[:2000]] \
+    expected = [per_n_ucb_regret_bound(ks, rbar, sched, n) for n in ns]
+    assert ucb_regret_bounds(ks, rbar, sched, ns).tolist() == expected
+    assert [bound_at(ks, rbar, sched, n) for n in ns[:2000]] \
         == expected[:2000]
 
 
 def test_ucb_regret_bounds_gap_error_message():
-    profiles = [prof(0.74, 2.0), prof(0.5, 0.1), prof(0.24, 2.0)]
+    ks, rbar = [2.0, 0.1, 2.0], [0.74, 0.5, 0.24]
     sched = HorizonSchedule(4, 0.1)
     with pytest.raises(GapTooSmallError) as want:
-        per_n_ucb_regret_bound(profiles, sched, 10)
+        per_n_ucb_regret_bound(ks, rbar, sched, 10)
     assert str(want.value) == "expert 2: gap 0.500000 <= 2 K_e/T0 = 1.000000"
     with pytest.raises(GapTooSmallError) as got:
-        ucb_regret_bounds(profiles, sched, range(1, 10))
+        ucb_regret_bounds(ks, rbar, sched, range(1, 10))
     assert str(got.value) == str(want.value)
 
 
