@@ -34,7 +34,7 @@ from .chains import gaps, induced_chain, stationary_distribution, \
     steady_state_reward
 from .gridworld import benchmark_config, build_experts, build_gridworld, \
     load_layout, permute_actions
-from .mdp import _is_int, load_mdp, load_policies, write_csv
+from .mdp import _is_int, _read_json, load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, aggregate_runs, cumulative_regret, \
     cumulative_reward_time, ucb_regret_bounds, write_aggregate_csv, \
     write_reward_time_csv
@@ -130,16 +130,10 @@ def load_spec(path) -> ExperimentSpec:
     """Load a spec; relative file references become absolute against the
     spec's directory, and referenced files must exist."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    keys = fields(ExperimentSpec)
+    doc = _read_json(path, {f.name for f in keys})
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a spec is a JSON object, got {doc!r}")
-    keys = fields(ExperimentSpec)
-    unknown = set(doc) - {f.name for f in keys}
-    if unknown:
-        raise ValueError(f"{path}: unknown spec keys {sorted(unknown)}")
     missing = {f.name for f in keys if f.default is MISSING
                and f.default_factory is MISSING} - set(doc)
     if missing:

@@ -17,16 +17,13 @@ bandit.run_mab draws these values ahead, a few thousand at a time, which
 is the same stream: a run uses the same values in the same order, but the
 caller's generator may end past the last value the run used.
 
-The sampler keeps each row on its positive entries only.  Per MDP, built
-on first use and shared by its experts, each (s, a) row holds the next
-states, their cumulative mass and their reward rows, each reward row on its
-support points of positive probability.  Per (MDP, expert), a stepper holds,
-for each state, the policy's cumulative row over the actions it takes and
-those actions' MDP rows; a deterministic policy has the row [1.0].  These
-rows draw what full rows would: bisect_right returns the first entry whose
-cumulative mass exceeds u, and a zero-mass entry repeats the value before
-it, so that entry has positive mass unless u lies past the last positive
-entry, which _cdf pins to exactly 1.0 > u.
+The sampler keeps each row on its positive entries only, and _compact
+builds every row it draws from.  Per MDP, built on first use and shared by
+its experts, each (s, a) row holds the next states, their cumulative mass
+and their reward rows, each reward row on its support points of positive
+probability.  Per (MDP, expert), a stepper holds, for each state, the
+policy's cumulative row over the actions it takes and those actions' MDP
+rows.  sample_initial_state draws from the initial law's row.
 
 Each row the walk reads also carries the interval [lo, hi) = [cum[k-1],
 cum[k]) of its widest outcome k, cum[-1] read as 0.0, and the walk tests
@@ -63,7 +60,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -212,24 +209,6 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative rows over the last axis, to draw from by bisect_right.
-
-    bisect_right(row, u) is the first index whose cumulative mass exceeds u.
-    An index with zero mass repeats the entry before it, so it can only be
-    drawn past the last index with positive mass, when a float cumsum stops
-    short of 1 (ten 0.1s sum to 0.9999999999999999) and u lands in the gap;
-    Generator.random returns values up to the largest double below 1.  That
-    entry and every entry after it are therefore set to exactly 1.0.
-    """
-    probs = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(probs, axis=-1)
-    width = probs.shape[-1]
-    last = width - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
-    cdf[np.arange(width) >= last[..., None]] = 1.0
-    return cdf
-
-
 def _row(cum: list, *items) -> tuple:
     """(lo, hi, k, cum, *items), where [lo, hi) = [cum[k-1], cum[k]) is the
     widest interval of the cumulative row cum, cum[-1] read as 0.0; k is
@@ -239,13 +218,22 @@ def _row(cum: list, *items) -> tuple:
     return (cum[k - 1] if k else 0.0), cum[k], k, cum, *items
 
 
-def _compact(probs: np.ndarray, items: list) -> list:
-    """_row(cumulative mass, items) of each row of probs, on its positive
-    entries only."""
-    keep = (probs > 0).tolist()
-    return [_row(cum, xs) if all(ks) else _row(
-        [c for c, k in zip(cum, ks) if k], [x for x, k in zip(xs, ks) if k])
-        for cum, xs, ks in zip(_cdf(probs).tolist(), items, keep)]
+def _compact(probs: np.ndarray, items) -> list:
+    """_row(cum, kept) of each row of probs.  cum is the float cumulative
+    mass over the row's positive entries, in order, with its last entry set
+    to exactly 1.0, and kept holds the row's items at those places.
+
+    bisect_right(cum, u) picks the entry a bisect over the full row would:
+    a zero-mass entry adds an exact 0.0 to the sum, and u may lie past a
+    float sum that stops short of 1 (ten 0.1s sum to 0.9999999999999999),
+    as Generator.random returns values up to the largest double below 1.
+    A row with one positive entry is (0.0, 1.0, 0, [1.0], kept)."""
+    rows = []
+    for ps, keep, xs in zip(probs.tolist(), (probs > 0).tolist(), items):
+        cum = list(accumulate(compress(ps, keep)))
+        cum[-1] = 1.0
+        rows.append(_row(cum, list(compress(xs, keep))))
+    return rows
 
 
 def _point_masses(probs: np.ndarray) -> np.ndarray:
@@ -255,24 +243,19 @@ def _point_masses(probs: np.ndarray) -> np.ndarray:
 
 
 def _mdp_rows(mdp: FiniteMdp) -> list:
-    """rows[s][a] = _row(cumulative mass, next states, reward rows, a),
+    """rows[s][a] = (*_row(cumulative mass, next states), reward rows, a),
     where a reward row is _row(cumulative mass, values)."""
     bad = validate_mdp(mdp)
     if bad:
         raise ValueError("invalid MDP: " + "; ".join(bad))
-    P = mdp.transition
-    idx = np.nonzero(P > 0)
-    rows = [[([], [], []) for _ in range(mdp.n_actions)]
-            for _ in range(mdp.n_states)]
-    rewards = _compact(mdp.reward_probs[idx], mdp.reward_values[idx].tolist())
-    for s, a, j, c, r in zip(*(i.tolist() for i in idx),
-                             _cdf(P)[idx].tolist(), rewards):
-        cum, nxt, rew = rows[s][a]
-        cum.append(c)
-        nxt.append(j)
-        rew.append(r)
-    return [[_row(cum, nxt, rew, a) for a, (cum, nxt, rew) in enumerate(row)]
-            for row in rows]
+    S, A = mdp.n_states, mdp.n_actions
+    pos = mdp.transition > 0
+    rewards = iter(_compact(mdp.reward_probs[pos],
+                            mdp.reward_values[pos].tolist()))
+    rows = iter(_compact(mdp.transition.reshape(S * A, S), repeat(range(S))))
+    # boolean indexing is row major: each (s, a) row's reward rows come next
+    return [[(*row, list(islice(rewards, len(row[3]))), a)
+             for a, row in zip(range(A), rows)] for _ in range(S)]
 
 
 class _Stepper:
@@ -281,9 +264,9 @@ class _Stepper:
     rows[s] is (lo, hi, j, cumulative mass, MDP rows) over the actions taken
     in s, each MDP row (lo, hi, k, cumulative mass, next states, reward
     rows, a) and each reward row (lo, hi, v, cumulative mass, values);
-    (lo, hi, index) is a row's widest interval (_row).  A deterministic
-    source has the row [1.0], whose interval [0.0, 1.0) holds the 0.0 it
-    reads; for a deterministic policy that row holds the argmax action.
+    (lo, hi, index) is a row's widest interval (_row).  A row with one
+    positive entry is [1.0], whose interval [0.0, 1.0) holds the 0.0 a
+    deterministic source reads.
     With a deterministic policy and deterministic rewards (the fast path)
     the walk reads hot and flat instead: hot[s] is (lo, hi, next state,
     reward) of the widest outcome of the one action's row and flat[s] is
@@ -302,9 +285,7 @@ class _Stepper:
         self.stoch_pol = not _point_masses(pi).all()
         self.stoch_rew = not _point_masses(mdp.reward_probs).all()
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
-        self.rows = _compact(pi, mdp._rows) if self.stoch_pol else [
-            (0.0, 1.0, 0, [1.0], [row[a]])
-            for row, a in zip(mdp._rows, pi.argmax(axis=1).tolist())]
+        self.rows = _compact(pi, mdp._rows)
         if self.stoch_pol or self.stoch_rew:
             self.flat = self.hot = None
             return
@@ -395,12 +376,14 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
 
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
-    """Draw s0 from mu0.  A law with exactly one positive entry
-    (_point_masses) is read off without consuming RNG."""
-    mu0 = mdp.initial_dist
-    if _point_masses(mu0):
-        return int(mu0.argmax())
-    return bisect_right(_cdf(mu0).tolist(), float(rng.random()))
+    """Draw s0 from mu0's compact row.  A law with exactly one positive
+    entry is read off without consuming RNG.  An MDP that fails
+    validate_mdp raises ValueError."""
+    mdp._rows  # validates the MDP once, when it builds the rows
+    *_, cum, states = _compact(mdp.initial_dist[None],
+                               [range(mdp.n_states)])[0]
+    return states[0] if len(cum) == 1 else \
+        states[bisect_right(cum, float(rng.random()))]
 
 
 # ---------------------------------------------------------------------------

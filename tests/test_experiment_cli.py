@@ -126,7 +126,7 @@ def test_load_spec_rejects_malformed_documents(tmp_path):
     unknown.write_text(json.dumps({"label": "x", "t0": 4, "c": 0.1,
                                    "iterations": 5, "seeds": [0],
                                    "out": "o", "tzero": 9}))
-    with pytest.raises(ValueError, match="unknown spec keys"):
+    with pytest.raises(ValueError, match=r"unknown keys \['tzero'\]"):
         load_spec(unknown)
 
     missing = tmp_path / "missing.json"

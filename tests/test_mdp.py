@@ -438,7 +438,9 @@ class BoundaryDraws:
         self.g = np.random.default_rng(seed)
         self.used = 0
 
-    def random(self, size):
+    def random(self, size=None):
+        if size is None:
+            return float(self.random(1)[0])
         n = math.prod(size) if isinstance(size, tuple) else size
         self.used += n
         return self.pool[self.g.integers(len(self.pool), size=n)].reshape(size)
@@ -455,8 +457,8 @@ def sampler_cases(draw):
     """(mdp, experts, s0, pulls, rng pair): S 1-6, A 1-3; rewards with one,
     two or twelve support points (twelve allows rows of ten 0.1s);
     deterministic and stochastic experts; in half the cases, edge_rows in
-    every kernel the sampler reads; 2-6 chained pulls of T 1-70, each
-    recording or not.  The rng pair is two Generators on one seed, or two
+    every kernel the sampler reads, the initial law included; 2-6 chained
+    pulls of T 1-70, each recording or not.  The rng pair is two Generators on one seed, or two
     BoundaryDraws over 0, the largest double below 1, and every raw and
     pinned cumulative value of the MDP's and the experts' rows and the
     double just below each."""
@@ -474,13 +476,14 @@ def sampler_cases(draw):
                             if draw(st.booleans())
                             else np.eye(A)[g.integers(0, A, size=S)])
                for _ in range(draw(st.integers(1, 3)))]
+    mdp.initial_dist = edge(g, sparse_rows(g, (S,)))
     assert validate_mdp(mdp) == []
     pulls = draw(st.lists(st.tuples(st.integers(0, len(experts) - 1),
                                     st.integers(1, 70), st.booleans()),
                           min_size=2, max_size=6))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        kernels = [mdp.transition, mdp.reward_probs] \
+        kernels = [mdp.transition, mdp.reward_probs, mdp.initial_dist] \
             + [e.policy for e in experts]
         values = np.concatenate(
             [f(k).ravel() for k in kernels
@@ -498,6 +501,11 @@ def sampler_cases(draw):
 @given(sampler_cases())
 def test_compact_rows_sample_what_full_rows_sample(case):
     mdp, experts, s0, pulls, (rng, ref_rng) = case
+    mu0 = mdp.initial_dist
+    ref_init = int(mu0.argmax()) if (mu0 > 0).sum() == 1 \
+        else bisect_right(full_cdf(mu0).tolist(), ref_rng.random())
+    assert sample_initial_state(mdp, rng) == ref_init
+    assert stream_state(rng) == stream_state(ref_rng)
     s = ref_s = s0
     for e, T, record in pulls:
         avg, s, traj = run_expert(mdp, experts[e], s, T, rng, record)
@@ -674,6 +682,16 @@ def test_a_reward_row_is_a_point_mass_only_with_one_positive_entry(
         ref.random(5 * width)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert reward is None or avg == pytest.approx(reward, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu0", [[0.0, 0.0, 0.0], [0.2, 0.2, 0.2],
+                                 [np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5],
+                                 [0.5, 0.5]])
+def test_sample_initial_state_rejects_an_invalid_mdp(mu0):
+    # each of these laws was sampled without a word, as state 2 or 1
+    mdp = make_mdp(np.ones((3, 1, 3)) / 3, np.zeros((3, 1, 3)), mu0)
+    with pytest.raises(ValueError, match="invalid MDP: .*initial"):
+        sample_initial_state(mdp, np.random.default_rng(0))
 
 
 def test_sample_initial_state_matches_distribution():
