@@ -14,8 +14,8 @@ the choice.  Submodules:
   cli        command line entry point
 """
 
-from .bandit import BanditState, HorizonSchedule, RunLog, confidence_bound, \
-    horizon, run_mab, select_ucb, ucb_selector
+from .bandit import BanditState, HorizonSchedule, RunLog, run_mab, \
+    select_ucb, ucb_selector
 from .chains import InducedChain, MixingProfile, NotErgodicError, \
     check_ergodicity, gaps, induced_chain, mixing_constants, profile_expert, \
     slem, stationary_distribution, steady_state_reward

@@ -23,8 +23,6 @@ __all__ = [
     "HorizonSchedule",
     "BanditState",
     "RunLog",
-    "horizon",
-    "confidence_bound",
     "select_ucb",
     "ucb_selector",
     "run_mab",
@@ -58,16 +56,10 @@ class HorizonSchedule:
         if longest >= 2**63:
             raise ValueError(f"horizon T_{iterations - 1} = {longest:.6g} "
                              f"does not fit a 64-bit step count")
-        # horizon(self, n) for every n: rint rounds half to even like round()
+        # rint rounds half to even: T_n stays within half a step of
+        # T0 + slope n, which is all regret._harmonic_bound assumes
         return np.maximum(self.t0, np.rint(
             self.t0 + self.slope * np.arange(iterations))).astype(np.int64)
-
-
-def horizon(schedule: HorizonSchedule, n: int) -> int:
-    # round() is banker's rounding at .5; deterministic, and any rounding
-    # stays within half a step of T0 + slope n, which is all the closed-form
-    # bound in regret._harmonic_bound assumes
-    return max(schedule.t0, round(schedule.t0 + schedule.slope * n))
 
 
 @dataclass
@@ -83,18 +75,8 @@ class BanditState:
         return cls(pulls=[0] * n_experts, sums=[0.0] * n_experts)
 
 
-def confidence_bound(k_const: float, t0: int, k: int, n: int) -> float:
-    """K_e/T0 + sqrt(8 ln n / k).  Callers resolve the cold start first."""
-    if k < 1:
-        raise ValueError("confidence bound undefined at k = 0; "
-                         "pull the expert once first")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return k_const / t0 + math.sqrt(8.0 * math.log(n) / k)
-
-
 def select_ucb(state: BanditState, k_consts, schedule: HorizonSchedule) -> int:
-    """Argmax of S_e/k_e + confidence bound; unplayed experts go first.
+    """Argmax of S_e/k_e + K_e/T0 + sqrt(8 ln n / k_e), unplayed first.
 
     Both the cold-start rule and the argmax break ties toward the lowest
     expert index, so a run is reproducible down to the choice sequence.
@@ -106,7 +88,7 @@ def select_ucb(state: BanditState, k_consts, schedule: HorizonSchedule) -> int:
         return list(pulls).index(0)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # confidence_bound's operations in its order, with 8 ln n taken once
+    # the index's terms in this order, with 8 ln n taken once
     log8 = 8.0 * math.log(n)
     best, best_index = 0, -math.inf
     for e, k in enumerate(pulls):

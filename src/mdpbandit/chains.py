@@ -34,9 +34,19 @@ class NotErgodicError(Exception):
     """Chain is reducible or periodic; the steady-state machinery needs both."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class InducedChain:
-    kernel: np.ndarray  # (S, S), row stochastic
+    """An (S, S) row-stochastic kernel, checked when it is built: a
+    reducible or periodic one raises NotErgodicError."""
+
+    kernel: np.ndarray
+
+    def __post_init__(self):
+        flags = check_ergodicity(self.kernel)
+        if not all(flags.values()):
+            raise NotErgodicError(
+                f"chain is not ergodic: irreducible={flags['irreducible']}, "
+                f"aperiodic={flags['aperiodic']}")
 
 
 @dataclass
@@ -60,8 +70,8 @@ def induced_chain(mdp, policy) -> InducedChain:
     return InducedChain(kernel=np.einsum("saj,sa->sj", P, pi))
 
 
-def check_ergodicity(chain: InducedChain) -> dict:
-    """{'irreducible': bool, 'aperiodic': bool} from the positive-entry digraph.
+def check_ergodicity(kernel: np.ndarray) -> dict:
+    """{'irreducible': bool, 'aperiodic': bool} of a kernel's digraph.
 
     u and v share a strongly connected component when each reaches the other
     in A | I squared (S - 1).bit_length() times.  W keeps the edges of A
@@ -75,10 +85,10 @@ def check_ergodicity(chain: InducedChain) -> dict:
     self-loop, and has no period.  Products are thresholded back to 0/1
     after each squaring, so they stay exact in floats (entries <= S).
     """
-    S = chain.kernel.shape[0]
+    S = kernel.shape[0]
     if S == 0:
         raise ValueError("a chain needs at least one state")
-    A = chain.kernel > 0
+    A = kernel > 0
     R = (A | np.eye(S, dtype=bool)).astype(float)
     for _ in range((S - 1).bit_length()):
         R = (R @ R > 0).astype(float)
@@ -91,22 +101,6 @@ def check_ergodicity(chain: InducedChain) -> dict:
     return {"irreducible": bool(same.all()), "aperiodic": aperiodic}
 
 
-class _ErgodicChain(InducedChain):
-    """A chain _require_ergodic has already checked; it is not checked again."""
-
-
-def _require_ergodic(chain: InducedChain) -> InducedChain:
-    """The chain, marked as checked, or NotErgodicError."""
-    if isinstance(chain, _ErgodicChain):
-        return chain
-    flags = check_ergodicity(chain)
-    if not (flags["irreducible"] and flags["aperiodic"]):
-        raise NotErgodicError(
-            f"chain is not ergodic: irreducible={flags['irreducible']}, "
-            f"aperiodic={flags['aperiodic']}")
-    return _ErgodicChain(chain.kernel)
-
-
 def stationary_distribution(chain: InducedChain) -> np.ndarray:
     """Exact stationary law: the solution of mu (I - P) = 0, sum(mu) = 1.
 
@@ -116,7 +110,6 @@ def stationary_distribution(chain: InducedChain) -> np.ndarray:
     vectors orthogonal to mu, and the all-ones row is not one of them.  One
     LU solve then returns mu to round-off.
     """
-    _require_ergodic(chain)
     P = chain.kernel
     S = P.shape[0]
     A = np.eye(S) - P.T
@@ -128,7 +121,6 @@ def stationary_distribution(chain: InducedChain) -> np.ndarray:
 
 def slem(chain: InducedChain) -> float:
     """Second largest eigenvalue modulus of the chain kernel."""
-    _require_ergodic(chain)
     mods = np.sort(np.abs(np.linalg.eigvals(chain.kernel)))[::-1]
     return float(mods[1])
 
@@ -177,7 +169,6 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
     at every landing point.  The first block is the step-by-step scan's own
     P, P P, ...; later blocks agree with it to round-off.
     """
-    _require_ergodic(chain)
     if alpha <= 1e-12:
         # (effectively) rank-1 kernel: exact after one step, constants by
         # convention
@@ -256,9 +247,9 @@ def gaps(steady_rewards) -> tuple[int, np.ndarray]:
 
 def profile_expert(mdp, policy) -> MixingProfile:
     """Full certified profile of one expert on one MDP, with the mixing
-    scan run over default_horizon(alpha) steps.  The chain is checked for
-    ergodicity once, not once per step below."""
-    chain = _require_ergodic(induced_chain(mdp, policy))
+    scan run over default_horizon(alpha) steps.  Building the induced
+    chain checks it for ergodicity, once."""
+    chain = induced_chain(mdp, policy)
     mu = stationary_distribution(chain)
     alpha = slem(chain)
     C, K = mixing_constants(chain, mu, alpha, default_horizon(alpha))

@@ -57,10 +57,9 @@ def cmd_analyze(args) -> int:
             raise NotErgodicError(
                 f"expert {policy.expert_id} ({path}): {exc}") from None
     _, deltas = gaps([p.steady_reward for p in profiles])
-    header = ("expert", "alpha", "C", "K", "R_bar", "Delta", "irreducible",
-              "aperiodic")
+    header = ("expert", "alpha", "C", "K", "R_bar", "Delta")
     rows = [(policy.expert_id, float(p.slem), float(p.mix_const),
-             float(p.k_const), float(p.steady_reward), delta, "true", "true")
+             float(p.k_const), float(p.steady_reward), delta)
             for policy, p, delta in zip(policies, profiles, deltas.tolist())]
     if args.out:
         write_csv(args.out, header, rows)
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
     except (NotErgodicError, GapTooSmallError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

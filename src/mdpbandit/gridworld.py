@@ -229,9 +229,9 @@ def permute_actions(mdp: FiniteMdp, permutation) -> FiniteMdp:
         raise ValueError(f"{permutation} is not a bijection on "
                          f"{mdp.n_actions} actions")
     return FiniteMdp(n_states=mdp.n_states, n_actions=mdp.n_actions,
-                     transition=mdp.transition[:, sigma, :].copy(),
-                     reward_values=mdp.reward_values[:, sigma].copy(),
-                     reward_probs=mdp.reward_probs[:, sigma].copy(),
+                     transition=mdp.transition[:, sigma, :],
+                     reward_values=mdp.reward_values[:, sigma],
+                     reward_probs=mdp.reward_probs[:, sigma],
                      initial_dist=mdp.initial_dist)
 
 

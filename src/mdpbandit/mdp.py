@@ -44,12 +44,12 @@ record=True runs a recording loop that bisects every draw, on the same
 draws, and returns a Trajectory of the states, actions and rewards, so the
 record flag never shifts what a seeded run draws.
 
-The MDP's rows are cached on the instance.  A stepper costs little next
-to them and is not cached: run_expert builds one per call and
-bandit.run_mab one per (MDP, expert) before its first draw, so a policy
-edited between runs is sampled as edited.  Building the rows runs
-validate_mdp and building a stepper runs validate_policy; either raises
-ValueError.
+The MDP's rows are cached on the instance, whose arrays are read-only.
+A stepper costs little next to them and is not cached: run_expert builds
+one per call and bandit.run_mab one per (MDP, expert) before its first
+draw, so a policy edited between runs is sampled as edited.  Building the
+rows runs validate_mdp and building a stepper runs validate_policy;
+either raises ValueError.
 """
 
 from __future__ import annotations
@@ -85,16 +85,17 @@ __all__ = [
 _ATOL = 1e-9  # stochasticity tolerance shared by all row checks
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteMdp:
     """Finite MDP (S, A, P, R, mu0), a discrete reward law per (s, a, s').
 
     reward_values / reward_probs have shape (S, A, S, V): support points in
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
-    special case, see :func:`deterministic_reward`.  Instances are treated
-    as immutable after construction; the sampler caches the MDP's rows on
-    the instance (_rows), and dataclasses.replace starts the copy without
-    them.
+    special case, see :func:`deterministic_reward`.  An instance holds
+    read-only float copies of its arrays, so an in-place edit raises
+    ValueError and the sampler's rows cached on it (_rows) stay true;
+    dataclasses.replace builds a new MDP with rows of its own.  A pickled
+    copy, such as a worker's, has writeable arrays: numpy drops the flag.
     """
 
     n_states: int
@@ -103,6 +104,13 @@ class FiniteMdp:
     reward_values: np.ndarray       # (S, A, S, V)
     reward_probs: np.ndarray        # (S, A, S, V)
     initial_dist: np.ndarray        # (S,)
+
+    def __post_init__(self):
+        for name in ("transition", "reward_values", "reward_probs",
+                     "initial_dist"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @cached_property
     def _rows(self) -> list:
@@ -475,10 +483,10 @@ def load_mdp(path) -> FiniteMdp:
         mdp = FiniteMdp(
             n_states=_int_field(doc, "states"),
             n_actions=_int_field(doc, "actions"),
-            transition=np.asarray(doc["transition"], dtype=float),
-            reward_values=np.asarray(doc["reward"]["values"], dtype=float),
-            reward_probs=np.asarray(doc["reward"]["probs"], dtype=float),
-            initial_dist=np.asarray(doc["initial"], dtype=float),
+            transition=doc["transition"],
+            reward_values=doc["reward"]["values"],
+            reward_probs=doc["reward"]["probs"],
+            initial_dist=doc["initial"],
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed field ({exc})") from exc

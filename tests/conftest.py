@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mdpbandit.bandit import HorizonSchedule, RunLog, run_mab, ucb_selector
 from mdpbandit.chains import gaps, profile_expert
@@ -22,6 +23,11 @@ from mdpbandit.gridworld import (
     build_gridworld,
     permute_actions,
 )
+
+# every property test is deterministic, and none has a per-example deadline:
+# a test's @settings gives only its example count
+settings.register_profile("mdpbandit", derandomize=True, deadline=None)
+settings.load_profile("mdpbandit")
 
 
 class BenchEnv:

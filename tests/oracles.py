@@ -4,18 +4,37 @@ None of these runs in the package itself: each is either an exact,
 slow form of what the package certifies (the expected finite-horizon
 average, the exact harmonic sum of the horizons, the expected-pull form of
 the regret bound), a fit the acceptance criteria read off a curve, or a
-plain per-item form of a loop the package runs in blocks or by template
-(the selection loop, the CSV rows).
+plain per-item form of a rule or loop the package runs in blocks, inline
+or by template (the horizon T_n, the confidence bound of the UCB index,
+the selection loop, the CSV rows).
 """
 
 import math
 
 import numpy as np
 
-from mdpbandit.bandit import BanditState, RunLog, horizon
+from mdpbandit.bandit import BanditState, RunLog
 from mdpbandit.chains import gaps, induced_chain
 from mdpbandit.mdp import run_expert, sample_initial_state
 from mdpbandit.regret import ucb_regret_bounds
+
+
+def horizon(schedule, n: int) -> int:
+    """T_n = max(T0, round(T0 + slope n)), one n at a time: the rule
+    HorizonSchedule.horizons applies to every n at once.  round() is
+    banker's rounding at .5, as np.rint is."""
+    return max(schedule.t0, round(schedule.t0 + schedule.slope * n))
+
+
+def confidence_bound(k_const: float, t0: int, k: int, n: int) -> float:
+    """K_e/T0 + sqrt(8 ln n / k), the bonus select_ucb adds to an expert's
+    mean after k pulls at iteration n >= 1."""
+    if k < 1:
+        raise ValueError("confidence bound undefined at k = 0; "
+                         "pull the expert once first")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return k_const / t0 + math.sqrt(8.0 * math.log(n) / k)
 
 
 def expected_avg_reward_from_state(mdp, policy, s0: int, T: int) -> float:

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from mdpbandit.bandit import HorizonSchedule, horizon, run_mab, ucb_selector
+from mdpbandit.bandit import HorizonSchedule, run_mab, ucb_selector
 from mdpbandit.chains import gaps, induced_chain, stationary_distribution
 from mdpbandit.regret import (
     GapTooSmallError,
@@ -38,6 +38,7 @@ from mdpbandit.regret import (
 from oracles import (
     expected_avg_reward_from_state,
     harmonic_bound,
+    horizon,
     log_linear_fit,
 )
 

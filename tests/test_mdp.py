@@ -110,8 +110,9 @@ def test_validate_reports_bad_transition_row_with_indices():
 
 def test_validate_reports_reward_support_outside_unit_interval():
     mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
-    mdp.reward_values[1, 0, 1, 0] = 1.5
-    bad = validate_mdp(mdp)
+    values = mdp.reward_values.copy()
+    values[1, 0, 1, 0] = 1.5
+    bad = validate_mdp(replace(mdp, reward_values=values))
     assert len(bad) == 1
     assert "1.5" in bad[0] and "(s=1, a=0, s'=1)" in bad[0]
 
@@ -120,17 +121,18 @@ def test_validate_reports_each_malformed_block():
     # negative transition entry, reward probs not summing, bad initial
     # distribution: one message per defect.  An initial law with a negative
     # entry that sums to 1 was reported as "sum 1.0, expected 1"
-    mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
-    mdp.transition[0, 0] = [1.5, -0.5]
-    mdp.reward_probs[1, 0, 0, 0] = 0.25
-    mdp.initial_dist[:] = [0.7, 0.7]
+    P = np.eye(2)[:, None, :].copy()
+    P[0, 0] = [1.5, -0.5]
+    mdp = make_mdp(P, np.zeros((2, 1, 2)), initial=[0.7, 0.7])
+    probs = mdp.reward_probs.copy()
+    probs[1, 0, 0, 0] = 0.25
+    mdp = replace(mdp, reward_probs=probs)
     bad = validate_mdp(mdp)
     assert any("negative transition" in m for m in bad)
     assert any("reward probabilities sum" in m for m in bad)
     assert any("initial distribution sum 1.4" in m for m in bad)
     assert not any("negative initial" in m for m in bad)
-    mdp.initial_dist[:] = [1.5, -0.5]
-    bad = validate_mdp(mdp)
+    bad = validate_mdp(replace(mdp, initial_dist=[1.5, -0.5]))
     assert "negative initial distribution entry mu0(1) = -0.5" in bad
     assert not any("initial distribution sum" in m for m in bad)
 
@@ -154,8 +156,10 @@ def test_validate_reports_non_finite_entries(name, field):
     # every comparison with NaN is false, so the row-sum and sign checks
     # alone pass a row of NaN
     mdp = two_state_cycle()
-    getattr(mdp, field)[0] = np.nan
-    assert f"non-finite entries in the {name}" in validate_mdp(mdp)
+    array = getattr(mdp, field).copy()
+    array[0] = np.nan
+    assert f"non-finite entries in the {name}" \
+        in validate_mdp(replace(mdp, **{field: array}))
 
 
 def test_validate_policy_rejects_non_finite_entries():
@@ -311,7 +315,6 @@ def rollout_cases(draw):
             draw(st.integers(1, 50)), draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(derandomize=True, deadline=None)
 @given(rollout_cases())
 def test_record_flag_never_changes_the_rollout(case):
     mdp, expert, s0, T, seed = case
@@ -476,7 +479,7 @@ def sampler_cases(draw):
                             if draw(st.booleans())
                             else np.eye(A)[g.integers(0, A, size=S)])
                for _ in range(draw(st.integers(1, 3)))]
-    mdp.initial_dist = edge(g, sparse_rows(g, (S,)))
+    mdp = replace(mdp, initial_dist=edge(g, sparse_rows(g, (S,))))
     assert validate_mdp(mdp) == []
     pulls = draw(st.lists(st.tuples(st.integers(0, len(experts) - 1),
                                     st.integers(1, 70), st.booleans()),
@@ -497,7 +500,7 @@ def sampler_cases(draw):
     return mdp, experts, draw(st.integers(0, S - 1)), pulls, rngs
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(sampler_cases())
 def test_compact_rows_sample_what_full_rows_sample(case):
     mdp, experts, s0, pulls, (rng, ref_rng) = case
@@ -539,6 +542,31 @@ def test_a_pickled_warm_cache_samples_the_same_stream():
         assert rng.bit_generator.state == copy_rng.bit_generator.state
 
 
+def test_an_mdp_cannot_change_under_its_cached_rows():
+    # an MDP edited in place after a draw was sampled from its old rows,
+    # or from an initial law whose last entry took the missing mass
+    P = np.full((3, 1, 3), 1.0 / 3.0)
+    given = np.array([1.0, 0.0, 0.0])
+    mdp = make_mdp(P, np.zeros((3, 1, 3)), initial=given)
+    sample_initial_state(mdp, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.initial_dist[:] = [0.2, 0.2, 0.2]
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.transition[0, 0] = [5, -4, 0]
+    # the MDP holds copies: the caller's arrays stay its own and editable
+    given[:] = [0.0, 1.0, 0.0]
+    P[0, 0] = [1.0, 0.0, 0.0]
+    assert mdp.initial_dist.tolist() == [1.0, 0.0, 0.0]
+    assert mdp.transition[0, 0].tolist() == [1.0 / 3.0] * 3
+    moved = replace(mdp, initial_dist=given, transition=P)
+    assert not moved.initial_dist.flags.writeable
+    assert sample_initial_state(moved, np.random.default_rng(0)) == 1
+    assert moved._rows is not mdp._rows
+    # each (s, a) row keeps its next states fifth, after its interval
+    assert [row[4] for row in moved._rows[0]] == [[0]]
+    assert [row[4] for row in mdp._rows[0]] == [[0, 1, 2]]
+
+
 def test_a_policy_edited_in_place_samples_its_new_actions():
     # a stepper cached per policy on the MDP kept sampling the old actions
     mdp, swap, stay = swap_or_stay()
@@ -564,8 +592,11 @@ def test_run_expert_rejects_an_invalid_policy():
 
 def test_run_expert_rejects_an_invalid_mdp():
     mdp = two_state_cycle()
-    mdp.transition[0, 0] = [0.5, 0.4]
-    mdp.reward_values[1, 0, 0, 0] = 1.5
+    P = mdp.transition.copy()
+    P[0, 0] = [0.5, 0.4]
+    values = mdp.reward_values.copy()
+    values[1, 0, 0, 0] = 1.5
+    mdp = replace(mdp, transition=P, reward_values=values)
     with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
                        r"0\.9 at \(s=0, a=0\), expected 1; reward support "
                        r"value 1\.5 outside"):
@@ -624,8 +655,7 @@ def test_run_expert_rejects_bad_arguments():
 
 
 def test_sample_initial_state_point_mass_consumes_no_randomness():
-    mdp = two_state_cycle()
-    mdp.initial_dist[:] = [0.0, 1.0]
+    mdp = replace(two_state_cycle(), initial_dist=[0.0, 1.0])
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     assert sample_initial_state(mdp, rng) == 1
@@ -638,8 +668,7 @@ def test_an_initial_law_is_a_point_mass_only_with_one_positive_entry(
         mu0, draws):
     # [1e-10, 1.0] passes validate_mdp and was read off as state 1 without
     # a draw, dropping the mass of state 0 that induced_chain counts
-    mdp = two_state_cycle()
-    mdp.initial_dist[:] = mu0
+    mdp = replace(two_state_cycle(), initial_dist=mu0)
     assert validate_mdp(mdp) == []
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     s0 = sample_initial_state(mdp, rng)
@@ -695,8 +724,7 @@ def test_sample_initial_state_rejects_an_invalid_mdp(mu0):
 
 
 def test_sample_initial_state_matches_distribution():
-    mdp = two_state_cycle()
-    mdp.initial_dist[:] = [0.25, 0.75]
+    mdp = replace(two_state_cycle(), initial_dist=[0.25, 0.75])
     rng = np.random.default_rng(19)
     draws = np.array([sample_initial_state(mdp, rng) for _ in range(2000)])
     assert abs(draws.mean() - 0.75) < 0.04
@@ -759,7 +787,7 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(drawn_mdps(),
        st.lists(st.floats(allow_nan=False), min_size=1, max_size=12),
        st.integers(-2**63, 2**63 - 1))
@@ -793,9 +821,9 @@ def test_load_mdp_rejects_bad_files(tmp_path):
         load_mdp(missing)
 
     invalid = tmp_path / "invalid.json"
-    mdp = two_state_cycle()
-    mdp.transition[0, 0] = [0.5, 0.4]
-    save_mdp(mdp, invalid)
+    P = two_state_cycle().transition.copy()
+    P[0, 0] = [0.5, 0.4]
+    save_mdp(replace(two_state_cycle(), transition=P), invalid)
     with pytest.raises(ValueError, match="invalid MDP"):
         load_mdp(invalid)
 
@@ -856,7 +884,7 @@ csv_values = st.one_of(
                           blacklist_categories=("Cs",)), max_size=5))
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(st.integers(1, 4).flatmap(lambda width: st.lists(
     st.tuples(st.lists(csv_values, min_size=width, max_size=width),
               st.booleans()), max_size=8)),
@@ -942,9 +970,9 @@ def _draw_from(kernel):
         mdp = make_mdp(np.ones((1, n, 1)), np.zeros((1, n, 1)))
         policy = ExpertPolicy(policy=np.array([SHORT_ROW]))
         return int(run_expert(mdp, policy, 0, 1, rng)[2].actions[0])
-    mdp = one_state_mdp([0.0])
-    mdp.reward_values = np.linspace(0.0, 1.0, n).reshape(1, 1, 1, n)
-    mdp.reward_probs = np.array(SHORT_ROW).reshape(1, 1, 1, n)
+    mdp = replace(one_state_mdp([0.0]),
+                  reward_values=np.linspace(0.0, 1.0, n).reshape(1, 1, 1, n),
+                  reward_probs=np.array(SHORT_ROW).reshape(1, 1, 1, n))
     avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 1, rng)
     return int(round(avg * (n - 1)))
 

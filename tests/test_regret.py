@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpbandit.bandit import HorizonSchedule, RunLog, horizon
+from mdpbandit.bandit import HorizonSchedule, RunLog
 from mdpbandit.chains import gaps
 from mdpbandit.regret import (
     GapTooSmallError,
@@ -22,7 +22,8 @@ from mdpbandit.regret import (
     write_reward_time_csv,
 )
 
-from oracles import decomposition_bound, harmonic_sum_check, log_linear_fit
+from oracles import decomposition_bound, harmonic_sum_check, horizon, \
+    log_linear_fit
 
 
 def synthetic_log(experts, rewards, t0=4, c=0.0):
@@ -123,7 +124,7 @@ def test_decomposition_rejects_an_expert_outside_the_rewards():
             decomposition_terms(log, [0.6, 0.3])
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        st.integers(1, 2000), st.integers(0, 2 ** 32 - 1))
 def test_decomposition_terms_sum_to_the_regret(steady, n, seed):
