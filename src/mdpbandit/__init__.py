@@ -5,7 +5,7 @@ expert on the live MDP for a growing number of steps without resetting the
 state, and a UCB index corrected by the experts' mixing constants drives
 the choice.  Submodules:
 
-  mdp        finite MDPs, validation, seeded rollouts, file formats
+  mdp        finite MDPs checked when built, seeded rollouts, file formats
   chains     induced-chain analysis: stationary laws, mixing certificates
   bandit     the selection loop, horizon schedule, UCB index, run logs
   regret     regret curves, the exact decomposition, bound curves
@@ -25,7 +25,7 @@ from .gridworld import GridworldConfig, LayoutError, benchmark_config, \
     build_experts, build_gridworld, canonical_experiments, format_layout, \
     parse_layout, permute_actions, train_expert
 from .mdp import ExpertPolicy, FiniteMdp, Trajectory, deterministic_reward, \
-    load_mdp, load_policy, run_expert, save_mdp, save_policy, validate_mdp
+    load_mdp, load_policy, run_expert, save_mdp, save_policy
 from .regret import GapTooSmallError, RegretCurve, aggregate_runs, \
     cumulative_regret, cumulative_reward_time, decomposition_terms, \
     regret_from_rewards, ucb_regret_bounds

@@ -174,8 +174,8 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
     ucb_selector(k_consts) is the paper's.  events is a list of (iteration,
     replacement FiniteMdp); each replacement is installed before its
     iteration's selection, and the environment state survives the swap.
-    Each MDP, the starting one and every replacement whether it fires or
-    not, is checked against every expert before the first draw, and
+    Every expert is checked against each MDP, the starting one and every
+    replacement whether it fires or not, before the first draw, and
     ValueError names what does not fit.  Uniforms are drawn from rng ahead
     of use (the RNG stream contract in mdp), so rng may end past the last
     one used.

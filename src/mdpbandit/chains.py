@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mdp import _ATOL, validate_policy
+
 __all__ = [
     "InducedChain",
     "MixingProfile",
@@ -36,13 +38,18 @@ class NotErgodicError(Exception):
 
 @dataclass(frozen=True)
 class InducedChain:
-    """An (S, S) row-stochastic kernel, checked when it is built: a
-    reducible or periodic one raises NotErgodicError."""
+    """An (S, S) row-stochastic kernel, checked when it is built: any other
+    kernel raises ValueError (a row may miss 1 by 2 _ATOL, a policy's and
+    an MDP's), and a reducible or periodic one NotErgodicError."""
 
     kernel: np.ndarray
 
     def __post_init__(self):
-        flags = check_ergodicity(self.kernel)
+        P = self.kernel   # ufuncs only; a NaN or inf fails its row's sum
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or (P < 0).any() \
+                or not (abs(P.sum(axis=1) - 1.0) <= 2 * _ATOL).all():
+            raise ValueError(f"{P.shape} kernel is not a stochastic matrix")
+        flags = check_ergodicity(P)
         if not all(flags.values()):
             raise NotErgodicError(
                 f"chain is not ergodic: irreducible={flags['irreducible']}, "
@@ -61,13 +68,10 @@ class MixingProfile:
 
 
 def induced_chain(mdp, policy) -> InducedChain:
-    """P_tilde(s, s') = sum_a P(s, a, s') pi(s, a)."""
-    P = mdp.transition
-    pi = policy.policy
-    if pi.shape != P.shape[:2]:
-        raise ValueError(f"policy shape {pi.shape} does not match "
-                         f"transition shape {P.shape[:2]}")
-    return InducedChain(kernel=np.einsum("saj,sa->sj", P, pi))
+    """P_tilde(s, s') = sum_a P(s, a, s') pi(s, a), pi validated on mdp."""
+    validate_policy(policy, mdp)
+    return InducedChain(kernel=np.einsum("saj,sa->sj", mdp.transition,
+                                         policy.policy))
 
 
 def check_ergodicity(kernel: np.ndarray) -> dict:
@@ -228,10 +232,9 @@ def mixing_constants(chain: InducedChain, stationary: np.ndarray, alpha: float,
 
 
 def steady_state_reward(mdp, policy, stationary: np.ndarray) -> float:
-    """R_bar = E_{s ~ mu, a ~ pi, s' ~ P}[ E R(s, a, s') ]."""
+    """R_bar = E_{s ~ mu, a ~ pi, s' ~ P}[ E R(s, a, s') ], pi validated."""
+    validate_policy(policy, mdp)
     r = mdp.mean_reward()
-    if policy.policy.shape != mdp.transition.shape[:2]:
-        raise ValueError("policy does not match MDP dimensions")
     per_state = np.einsum("sa,saj,saj->s", policy.policy, mdp.transition, r)
     return float(stationary @ per_state)
 

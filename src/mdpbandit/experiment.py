@@ -34,7 +34,7 @@ from .chains import gaps, induced_chain, stationary_distribution, \
     steady_state_reward
 from .gridworld import benchmark_config, build_experts, build_gridworld, \
     load_layout, permute_actions
-from .mdp import _is_int, _read_json, load_mdp, load_policies, write_csv
+from .mdp import _is_int, _reading, load_mdp, load_policies, write_csv
 from .regret import GapTooSmallError, aggregate_runs, cumulative_regret, \
     cumulative_reward_time, ucb_regret_bounds, write_aggregate_csv, \
     write_reward_time_csv
@@ -131,28 +131,28 @@ def load_spec(path) -> ExperimentSpec:
     spec's directory, and referenced files must exist."""
     path = Path(path)
     keys = fields(ExperimentSpec)
-    doc = _read_json(path, {f.name for f in keys})
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a spec is a JSON object, got {doc!r}")
-    missing = {f.name for f in keys if f.default is MISSING
-               and f.default_factory is MISSING} - set(doc)
-    if missing:
-        raise ValueError(f"{path}: missing spec keys {sorted(missing)}")
-    spec = ExperimentSpec(**doc)
-    base = path.parent
-    spec = replace(
-        spec, out=_resolve_path(base, spec.out),
-        mdp=_resolve_path(base, spec.mdp),
-        layout=_resolve_path(base, spec.layout),
-        experts=[_resolve_path(base, p) for p in spec.experts]
-        if spec.experts else spec.experts,
-        events=[{**ev, "mdp": _resolve_path(base, ev["mdp"])}
-                if "mdp" in ev else dict(ev) for ev in spec.events])
-    for ref in [spec.mdp, spec.layout] + (spec.experts or []) \
-            + [ev["mdp"] for ev in spec.events if "mdp" in ev]:
-        if ref is not None and not Path(ref).exists():
-            raise ValueError(f"{path}: referenced file {ref} does not exist")
-    return spec
+    with _reading(path, {f.name for f in keys}) as doc:
+        if not isinstance(doc, dict):
+            raise ValueError(f"a spec is a JSON object, got {doc!r}")
+        missing = {f.name for f in keys if f.default is MISSING
+                   and f.default_factory is MISSING} - set(doc)
+        if missing:
+            raise ValueError(f"missing spec keys {sorted(missing)}")
+        spec = ExperimentSpec(**doc)
+        base = path.parent
+        spec = replace(
+            spec, out=_resolve_path(base, spec.out),
+            mdp=_resolve_path(base, spec.mdp),
+            layout=_resolve_path(base, spec.layout),
+            experts=[_resolve_path(base, p) for p in spec.experts]
+            if spec.experts else spec.experts,
+            events=[{**ev, "mdp": _resolve_path(base, ev["mdp"])}
+                    if "mdp" in ev else dict(ev) for ev in spec.events])
+        for ref in [spec.mdp, spec.layout] + (spec.experts or []) \
+                + [ev["mdp"] for ev in spec.events if "mdp" in ev]:
+            if ref is not None and not Path(ref).exists():
+                raise ValueError(f"referenced file {ref} does not exist")
+        return spec
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:

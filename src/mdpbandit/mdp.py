@@ -47,9 +47,9 @@ record flag never shifts what a seeded run draws.
 The MDP's rows are cached on the instance, whose arrays are read-only.
 A stepper costs little next to them and is not cached: run_expert builds
 one per call and bandit.run_mab one per (MDP, expert) before its first
-draw, so a policy edited between runs is sampled as edited.  Building the
-rows runs validate_mdp and building a stepper runs validate_policy;
-either raises ValueError.
+draw, so a policy edited between runs is sampled as edited.  A FiniteMdp
+is checked once, when it is built, and validate_policy checks a policy
+wherever it meets an MDP; either raises ValueError.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import json
 import numbers
 import os
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
@@ -70,7 +71,6 @@ __all__ = [
     "ExpertPolicy",
     "Trajectory",
     "deterministic_reward",
-    "validate_mdp",
     "run_expert",
     "sample_initial_state",
     "save_mdp",
@@ -94,8 +94,9 @@ class FiniteMdp:
     special case, see :func:`deterministic_reward`.  An instance holds
     read-only float copies of its arrays, so an in-place edit raises
     ValueError and the sampler's rows cached on it (_rows) stay true;
-    dataclasses.replace builds a new MDP with rows of its own.  A pickled
-    copy, such as a worker's, has writeable arrays: numpy drops the flag.
+    dataclasses.replace builds a new MDP with rows of its own.  Building
+    one checks it, and an invalid MDP raises ValueError.  A pickled copy,
+    such as a worker's, is not checked again and has writeable arrays.
     """
 
     n_states: int
@@ -108,9 +109,15 @@ class FiniteMdp:
     def __post_init__(self):
         for name in ("transition", "reward_values", "reward_probs",
                      "initial_dist"):
-            array = np.array(getattr(self, name), dtype=float)
+            try:
+                array = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        bad = _mdp_errors(self)
+        if bad:
+            raise ValueError("invalid MDP: " + "; ".join(bad[:5]))
 
     @cached_property
     def _rows(self) -> list:
@@ -143,8 +150,8 @@ def deterministic_reward(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table[..., None].copy(), np.ones(table.shape + (1,))
 
 
-def validate_mdp(mdp: FiniteMdp) -> list[str]:
-    """Return every stochasticity violation with indices; empty means valid."""
+def _mdp_errors(mdp: FiniteMdp) -> list[str]:
+    """Every stochasticity violation of mdp's arrays, with indices."""
     bad = [f"non-finite entries in the {name}" for name, arr in (
         ("transition", mdp.transition), ("reward values", mdp.reward_values),
         ("reward probabilities", mdp.reward_probs),
@@ -189,12 +196,13 @@ def validate_mdp(mdp: FiniteMdp) -> list[str]:
     return bad
 
 
-def validate_policy(policy: ExpertPolicy, mdp: FiniteMdp) -> list[str]:
+def validate_policy(policy: ExpertPolicy, mdp: FiniteMdp) -> None:
+    """Raise ValueError unless policy is stochastic on mdp's (S, A)."""
     pi = policy.policy
-    bad = []
     if pi.shape != (mdp.n_states, mdp.n_actions):
-        return [f"policy shape {pi.shape} does not match "
-                f"({mdp.n_states}, {mdp.n_actions})"]
+        raise ValueError(f"invalid policy: policy shape {pi.shape} does not "
+                         f"match ({mdp.n_states}, {mdp.n_actions})")
+    bad = []
     if not np.isfinite(pi).all():
         bad.append("non-finite policy entries")
     if (pi < 0).any() or (pi > 1).any():
@@ -202,7 +210,8 @@ def validate_policy(policy: ExpertPolicy, mdp: FiniteMdp) -> list[str]:
     rows = pi.sum(axis=1)
     for (s,) in zip(*np.where(np.abs(rows - 1.0) > _ATOL)):
         bad.append(f"policy row sum {rows[s]} at s={s}, expected 1")
-    return bad
+    if bad:
+        raise ValueError("invalid policy: " + "; ".join(bad))
 
 
 def _is_int(value) -> bool:
@@ -253,9 +262,6 @@ def _point_masses(probs: np.ndarray) -> np.ndarray:
 def _mdp_rows(mdp: FiniteMdp) -> list:
     """rows[s][a] = (*_row(cumulative mass, next states), reward rows, a),
     where a reward row is _row(cumulative mass, values)."""
-    bad = validate_mdp(mdp)
-    if bad:
-        raise ValueError("invalid MDP: " + "; ".join(bad))
     S, A = mdp.n_states, mdp.n_actions
     pos = mdp.transition > 0
     rewards = iter(_compact(mdp.reward_probs[pos],
@@ -284,9 +290,7 @@ class _Stepper:
     __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat", "hot")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
-        bad = validate_policy(policy, mdp)
-        if bad:
-            raise ValueError("invalid policy: " + "; ".join(bad))
+        validate_policy(policy, mdp)
         pi = policy.policy
         # a policy or reward row with exactly one positive entry is a point
         # mass on its argmax, whatever the entry's value; others are drawn
@@ -353,7 +357,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
     avg_reward is the per-step mean, the R_k fed to the selector.  With
     record=False the trajectory is None but the consumed RNG stream is
     identical, so logs with and without trajectories replay bit for bit.
-    An MDP or policy that fails validation raises ValueError.
+    A policy that validate_policy rejects on mdp raises ValueError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -385,9 +389,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
     """Draw s0 from mu0's compact row.  A law with exactly one positive
-    entry is read off without consuming RNG.  An MDP that fails
-    validate_mdp raises ValueError."""
-    mdp._rows  # validates the MDP once, when it builds the rows
+    entry is read off without consuming RNG."""
     *_, cum, states = _compact(mdp.initial_dist[None],
                                [range(mdp.n_states)])[0]
     return states[0] if len(cum) == 1 else \
@@ -444,21 +446,27 @@ _REWARD_KEYS = {"values", "probs"}
 _POLICY_KEYS = {"expert_id", "policy"}
 
 
-def _reject_unknown(path, doc, known: set) -> None:
+def _reject_unknown(doc, known: set) -> None:
     """Raise ValueError naming the keys of a JSON object outside known;
     any other value is left to the field checks."""
     if isinstance(doc, dict) and doc.keys() - known:
-        raise ValueError(f"{path}: unknown keys {sorted(doc.keys() - known)}")
+        raise ValueError(f"unknown keys {sorted(doc.keys() - known)}")
 
 
-def _read_json(path, known: set):
-    """The JSON document in path; see _reject_unknown."""
+@contextmanager
+def _reading(path, known: set):
+    """Yield the JSON document in path (see _reject_unknown); an error in
+    the block becomes a ValueError naming path."""
     try:
         doc = json.loads(Path(path).read_text())
+        _reject_unknown(doc, known)
+        yield doc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    _reject_unknown(path, doc, known)
-    return doc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: missing or malformed field ({exc})")
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _to_jsonable(mdp: FiniteMdp) -> dict:
@@ -477,10 +485,9 @@ def save_mdp(mdp: FiniteMdp, path) -> None:
 
 
 def load_mdp(path) -> FiniteMdp:
-    doc = _read_json(path, _MDP_KEYS)
-    try:
-        _reject_unknown(path, doc["reward"], _REWARD_KEYS)
-        mdp = FiniteMdp(
+    with _reading(path, _MDP_KEYS) as doc:
+        _reject_unknown(doc["reward"], _REWARD_KEYS)
+        return FiniteMdp(
             n_states=_int_field(doc, "states"),
             n_actions=_int_field(doc, "actions"),
             transition=doc["transition"],
@@ -488,12 +495,6 @@ def load_mdp(path) -> FiniteMdp:
             reward_probs=doc["reward"]["probs"],
             initial_dist=doc["initial"],
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: missing or malformed field ({exc})") from exc
-    bad = validate_mdp(mdp)
-    if bad:
-        raise ValueError(f"{path}: invalid MDP: " + "; ".join(bad[:5]))
-    return mdp
 
 
 def save_policy(policy: ExpertPolicy, path) -> None:
@@ -502,12 +503,9 @@ def save_policy(policy: ExpertPolicy, path) -> None:
 
 
 def load_policy(path) -> ExpertPolicy:
-    doc = _read_json(path, _POLICY_KEYS)
-    try:
+    with _reading(path, _POLICY_KEYS) as doc:
         return ExpertPolicy(policy=np.asarray(doc["policy"], dtype=float),
                             expert_id=_int_field(doc, "expert_id"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: missing or malformed field ({exc})") from exc
 
 
 def load_policies(paths, mdp: FiniteMdp) -> list:
@@ -517,9 +515,10 @@ def load_policies(paths, mdp: FiniteMdp) -> list:
     policies, seen = [], {}
     for path in paths:
         policy = load_policy(path)
-        bad = validate_policy(policy, mdp)
-        if bad:
-            raise ValueError(f"{path}: invalid policy: " + "; ".join(bad))
+        try:
+            validate_policy(policy, mdp)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if policy.expert_id in seen:
             raise ValueError(f"{path}: expert_id {policy.expert_id} is also "
                              f"the expert_id of {seen[policy.expert_id]}")

@@ -458,9 +458,9 @@ def test_run_mab_event_dimension_mismatch():
 @pytest.mark.parametrize("when", [2, 5, 99])
 def test_run_mab_rejects_an_invalid_event_mdp_before_the_first_pull(when):
     # an event's MDP was checked only when the event fired: after `when`
-    # selections, or never for an event at or past the last iteration
+    # selections, or never for an event at or past the last iteration.  An
+    # invalid MDP now cannot be built, so the run is never started
     mdp = one_state_mdp([1.0])
-    leaky = replace(mdp, transition=np.full((1, 1, 1), 0.5))
     calls = []
 
     def selector(state, schedule):
@@ -472,7 +472,8 @@ def test_run_mab_rejects_an_invalid_event_mdp_before_the_first_pull(when):
     with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
                        r"0\.5 at \(s=0, a=0\)"):
         run_mab(mdp, [det_policy([0], 1)], selector, HorizonSchedule(4, 0.0),
-                iterations=5, rng=rng, events=[(when, leaky)])
+                iterations=5, rng=rng, events=[
+                    (when, replace(mdp, transition=np.full((1, 1, 1), 0.5)))])
     assert calls == [] and rng.bit_generator.state == before
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdpbandit import chains
+from mdpbandit.experiment import nominal_profiles
 from mdpbandit.chains import (
     InducedChain,
     NotErgodicError,
@@ -83,8 +84,48 @@ def test_induced_chain_rows_are_stochastic():
 
 def test_induced_chain_dimension_mismatch():
     mdp = one_state_mdp([0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid policy: policy shape "
+                       r"\(2, 1\) does not match \(1, 1\)$"):
         induced_chain(mdp, ExpertPolicy(policy=np.ones((2, 1))))
+
+
+def test_the_chain_path_rejects_an_invalid_policy(bench):
+    # the chain functions checked only the policy's shape: twice expert 0's
+    # policy, rows summing to 2, certified alpha = 1.987 and R_bar = 721.7
+    # for rewards in [0, 1]
+    doubled = ExpertPolicy(policy=2 * bench.experts[0].policy)
+    for path in (lambda: induced_chain(bench.mdp, doubled),
+                 lambda: profile_expert(bench.mdp, doubled),
+                 lambda: nominal_profiles(bench.mdp, [doubled]),
+                 lambda: steady_state_reward(bench.mdp, doubled,
+                                             np.full(25, 1 / 25))):
+        with pytest.raises(ValueError, match=r"^invalid policy: policy "
+                           r"entries outside \[0, 1\]; policy row sum 2\.0 "
+                           r"at s=0, expected 1"):
+            path()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0], [1.0, 1.0]], [[0.5, 0.4], [0.5, 0.5]],
+    [[1.5, -0.5], [0.5, 0.5]], [[np.nan, 1.0], [0.5, 0.5]],
+    [[np.inf, 0.0], [0.5, 0.5]], [[0.5, 0.5]], [0.5, 0.5],
+    [[[1.0]]]])
+def test_a_chain_kernel_must_be_square_and_row_stochastic(rows):
+    # [[1, 1], [1, 1]] built, and its stationary law came out as [1, -0]
+    with pytest.raises(ValueError, match="kernel is not a stochastic matrix"):
+        InducedChain(kernel(rows))
+
+
+def test_a_chain_row_may_miss_one_by_a_policy_and_an_mdp_tolerance():
+    # the policy row and the MDP rows each pass their check, 0.9e-9 over 1,
+    # so the induced row is about 1.8e-9 over
+    over = 0.9e-9
+    P = np.array([[[0.5, 0.5 + over], [0.5 + over, 0.5]],
+                  [[0.5, 0.5 + over], [0.5 + over, 0.5]]])
+    mdp = make_mdp(P, np.zeros((2, 2, 2)))
+    policy = ExpertPolicy(policy=np.array([[0.5, 0.5 + over]] * 2))
+    ker = induced_chain(mdp, policy).kernel
+    assert (ker.sum(axis=1) - 1.0 > 1.5e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +232,13 @@ def test_ergodicity_matches_a_reachability_oracle(pattern):
     P = A / np.maximum(A.sum(axis=1, keepdims=True), 1.0)
     flags = oracle_ergodicity(pattern)
     assert check_ergodicity(P) == flags
-    # building a chain is the one ergodicity check: a reducible or periodic
-    # kernel raises there, so no chain function ever sees one
-    if all(flags.values()):
+    # building a chain is the one check: a kernel with an empty row is not
+    # stochastic, and a reducible or periodic one raises, so no chain
+    # function ever sees either
+    if not A.any(axis=1).all():
+        with pytest.raises(ValueError, match="not a stochastic matrix"):
+            InducedChain(P)
+    elif all(flags.values()):
         assert InducedChain(P).kernel is P
     else:
         with pytest.raises(NotErgodicError, match=(
@@ -512,7 +557,7 @@ def test_steady_reward_matches_long_rollout():
 
 def test_steady_reward_rejects_mismatched_policy():
     mdp = two_state_mdp()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid policy: policy shape"):
         steady_state_reward(mdp, ExpertPolicy(policy=np.ones((3, 1))), np.ones(3) / 3)
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import mdpbandit
 from mdpbandit import chains, experiment
+from mdpbandit import mdp as mdp_module
 from mdpbandit.bandit import HorizonSchedule, RunLog
 from mdpbandit.cli import main
 from mdpbandit.experiment import (
@@ -35,12 +36,14 @@ from mdpbandit.experiment import (
     save_spec,
     sweep_spec,
 )
-from mdpbandit.gridworld import BENCHMARK_EVENT_PERMUTATION, permute_actions
+from mdpbandit.gridworld import BENCHMARK_EVENT_PERMUTATION, load_layout, \
+    permute_actions
 from mdpbandit.mdp import ExpertPolicy, FiniteMdp, load_mdp, save_mdp, \
     save_policy
 from mdpbandit.regret import ucb_regret_bounds
 from oracles import log_linear_fit
-from test_mdp import det_policy, make_mdp, random_mdp
+from test_mdp import det_policy, make_mdp, mdp_fields, random_mdp, \
+    write_mdp_doc
 
 # tiny 1x2 gridworld; the sticky trap keeps the induced chain aperiodic
 # (a plain "S." strip would be a deterministic 2-cycle), R_bar = 0.002/1.02
@@ -1003,7 +1006,7 @@ def nan_files(tmp_path):
     save_mdp(make_mdp(P, np.zeros((2, 1, 2))), tmp_path / "m.json")
     save_policy(det_policy([0, 0], 1), tmp_path / "p.json")
     P[1, 0] = np.nan
-    save_mdp(make_mdp(P, np.zeros((2, 1, 2))), tmp_path / "m_nan.json")
+    write_mdp_doc(tmp_path / "m_nan.json", mdp_fields(P, np.zeros((2, 1, 2))))
     save_policy(ExpertPolicy(policy=np.full((2, 1), np.nan)),
                 tmp_path / "p_nan.json")
     return [tmp_path / name for name in ("m.json", "p.json", "m_nan.json",
@@ -1014,9 +1017,11 @@ def nan_files(tmp_path):
 def test_cli_non_finite_inputs_exit_one(tmp_path, bad):
     mdp, pol, mdp_nan, pol_nan = nan_files(tmp_path)
     if bad == "mdp":
-        mdp, what = mdp_nan, "non-finite entries in the transition"
+        mdp, what = mdp_nan, f"{mdp_nan}: invalid MDP: non-finite entries " \
+            "in the transition"
     else:
-        pol, what = pol_nan, "non-finite policy entries"
+        pol, what = pol_nan, f"{pol_nan}: invalid policy: non-finite " \
+            "policy entries"
     code, _, err = run_cli(["analyze", str(mdp), str(pol)])
     assert code == 1 and what in err
     doc = {"label": "nan", "t0": 4, "c": 0.0, "iterations": 5, "seeds": [0],
@@ -1024,6 +1029,28 @@ def test_cli_non_finite_inputs_exit_one(tmp_path, bad):
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     code, _, err = run_cli(["run", "--config", str(tmp_path / "spec.json")])
     assert code == 1 and what in err
+
+
+def test_each_mdp_is_validated_once(tmp_path):
+    # a file-spec run checked its MDP twice, when it was loaded and when its
+    # sampler rows were built; a layout run never checked the permuted MDPs
+    # its experts are trained on
+    mdp, pol, _, _ = nan_files(tmp_path)
+    for name, doc in (("file", {"mdp": mdp.name, "experts": [pol.name]}),
+                      ("layout", {"layout": strip_layout(tmp_path).name})):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "label": name, "t0": 4, "c": 0.0, "iterations": 5,
+            "seeds": [0, 1], "out": name, **doc}))
+        with mock.patch.object(mdp_module, "_mdp_errors",
+                               wraps=mdp_module._mdp_errors) as check, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, err = run_cli(["run", "--config",
+                                    str(tmp_path / "spec.json")])
+        assert code == 0, err
+        built = 1 if name == "file" else \
+            1 + len(load_layout(tmp_path / "strip.grid").permutations)
+        assert check.call_count == built, name
 
 
 @pytest.mark.parametrize("name, key", [("m.json", "discount"),
@@ -1108,6 +1135,42 @@ def test_a_mutated_input_file_never_exits_three(probe_dir, seed):
                      ["run", "--config", str(work / "spec.json")]):
             code, _, err = run_cli(argv)
             assert code in (0, 1, 2), f"{change}; {argv[0]}: {err}"
+            # a bad MDP or expert file is named by the loader that reads it
+            assert code != 1 or name == "spec.json" \
+                or str(work / name) in err, f"{change}; {argv[0]}: {err}"
+
+
+def mutated_probe(probe_dir, tmp_path, name, path, value):
+    """A copy of probe_dir whose file name holds value at path."""
+    work = Path(shutil.copytree(probe_dir, tmp_path / "probe"))
+    doc = json.loads((work / name).read_text())
+    *up, key = path
+    node = doc
+    for step in up:
+        node = node[step]
+    node[key] = value
+    (work / name).write_text(json.dumps(doc))
+    return work
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("mdp.json", ["transition", 0, 0], [0.5], "transition: "),
+    ("mdp.json", ["reward", "probs", 0, 0, 0, 0], "x",
+     "reward_probs: could not convert string to float"),
+    ("expert_0.json", ["policy", 0], [1.0], ""),
+    ("spec.json", ["t0"], 0, "t0 must be an integer >= 1, got 0")])
+def test_a_malformed_file_is_named_in_its_error(probe_dir, tmp_path, name,
+                                                path, value, message):
+    # a ragged array, a string in an array or a bad spec field exited 1
+    # with a message that named neither the file nor the field
+    work = mutated_probe(probe_dir, tmp_path, name, path, value)
+    commands = [["run", "--config", str(work / "spec.json")]]
+    if name != "spec.json":
+        commands.append(["analyze", str(work / "mdp.json"),
+                         str(work / "expert_0.json")])
+    for argv in commands:
+        code, _, err = run_cli(argv)
+        assert code == 1 and f"error: {work / name}: {message}" in err, err
 
 
 @pytest.mark.parametrize("name, path", [
@@ -1117,15 +1180,10 @@ def test_a_mutated_input_file_never_exits_three(probe_dir, seed):
 def test_an_integer_too_large_for_a_float_exits_one(probe_dir, tmp_path,
                                                     name, path):
     # converting 10**400 to a float raised OverflowError, which the command
-    # line reported as a runtime failure (exit 3)
-    work = Path(shutil.copytree(probe_dir, tmp_path / "probe"))
-    doc = json.loads((work / name).read_text())
-    *up, key = path
-    node = doc
-    for step in up:
-        node = node[step]
-    node[key] = 10**400
-    (work / name).write_text(json.dumps(doc))
+    # line reported as a runtime failure (exit 3).  A file's loader names
+    # the file; iterations is a valid integer, and the run's horizon check
+    # that rejects it is not the loader's
+    work = mutated_probe(probe_dir, tmp_path, name, path, 10**400)
     commands = [["run", "--config", str(work / "spec.json")]]
     if name != "spec.json":
         commands.append(["analyze", str(work / "mdp.json"),
@@ -1133,6 +1191,7 @@ def test_an_integer_too_large_for_a_float_exits_one(probe_dir, tmp_path,
     for argv in commands:
         code, _, err = run_cli(argv)
         assert code == 1 and "too large" in err, err
+        assert path == ["iterations"] or f"error: {work / name}: " in err, err
 
 
 def test_cli_the_legacy_observation_keys_are_read_and_ignored(tmp_path):

@@ -26,7 +26,6 @@ from mdpbandit.gridworld import (
     permute_actions,
     train_expert,
 )
-from mdpbandit.mdp import validate_mdp
 
 from test_mdp import make_mdp
 
@@ -123,8 +122,8 @@ def test_config_validation():
 def test_two_cell_strip_always_crosses():
     # 1x2 grid: the only in-grid direction is toward the other cell, so all
     # slip and off-grid mass funnels there and each action moves for sure
+    # (building a FiniteMdp checks it: a row that does not sum to 1 raises)
     mdp = build_gridworld(GridworldConfig(width=2, height=1, tiles=("S.",)))
-    assert validate_mdp(mdp) == []
     for s in (0, 1):
         for a in range(4):
             assert mdp.transition[s, a, 1 - s] == pytest.approx(1.0, abs=1e-12)
@@ -134,9 +133,7 @@ def test_corner_cell_rows_hand_derived():
     # 2x2 grid, start cell top-left, trap bottom-right; in-grid directions
     # from the corner are DOWN (state 2) and RIGHT (state 1)
     cfg = GridworldConfig(width=2, height=2, tiles=("S.", ".T"))
-    mdp = build_gridworld(cfg)
-    assert validate_mdp(mdp) == []
-    P = mdp.transition
+    P = build_gridworld(cfg).transition
     # aiming off-grid: 0.98 off mass splits 0.49/0.49 over the two in-dirs
     np.testing.assert_allclose(P[0, UP], [0, 0.5, 0.5, 0], atol=1e-12)
     np.testing.assert_allclose(P[0, LEFT], [0, 0.5, 0.5, 0], atol=1e-12)
@@ -171,7 +168,6 @@ def test_reward_keying_destination_vs_source():
 def test_benchmark_mdp_shape_and_start(bench):
     mdp = bench.mdp
     assert (mdp.n_states, mdp.n_actions) == (25, 4)
-    assert validate_mdp(mdp) == []
     assert mdp.initial_dist[20] == 1.0 and mdp.initial_dist.sum() == 1.0
 
 

@@ -5,15 +5,17 @@ import math
 import pickle
 import tempfile
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdpbandit import mdp as mdp_module
 from mdpbandit.mdp import (
     ExpertPolicy,
     FiniteMdp,
@@ -25,7 +27,6 @@ from mdpbandit.mdp import (
     sample_initial_state,
     save_mdp,
     save_policy,
-    validate_mdp,
     validate_policy,
     write_csv,
 )
@@ -33,22 +34,40 @@ from mdpbandit.mdp import (
 from oracles import joined_csv_text
 
 
-def make_mdp(P, reward_table, initial=None):
-    """Assemble a FiniteMdp from a transition tensor and a (S,A,S) mean-reward table."""
-    P = np.asarray(P, dtype=float)
+def mdp_fields(P, reward_table, initial=None):
+    """FiniteMdp's arguments for a transition tensor and a (S,A,S)
+    mean-reward table, as writeable arrays."""
+    P = np.array(P, dtype=float)
     S, A, _ = P.shape
     values, probs = deterministic_reward(reward_table)
     if initial is None:
         initial = np.zeros(S)
         initial[0] = 1.0
-    return FiniteMdp(
-        n_states=S,
-        n_actions=A,
-        transition=P,
-        reward_values=values,
-        reward_probs=probs,
-        initial_dist=np.asarray(initial, dtype=float),
-    )
+    return dict(n_states=S, n_actions=A, transition=P, reward_values=values,
+                reward_probs=probs, initial_dist=np.array(initial, dtype=float))
+
+
+def make_mdp(P, reward_table, initial=None):
+    """Assemble a FiniteMdp from a transition tensor and a (S,A,S) mean-reward table."""
+    return FiniteMdp(**mdp_fields(P, reward_table, initial))
+
+
+def build_errors(fields):
+    """The violations FiniteMdp raises on fields, one message each."""
+    with pytest.raises(ValueError, match="^invalid MDP: ") as info:
+        FiniteMdp(**fields)
+    return str(info.value).removeprefix("invalid MDP: ").split("; ")
+
+
+def write_mdp_doc(path, fields):
+    """Write fields as an MDP file, valid or not: save_mdp's format, which
+    only a valid FiniteMdp can reach."""
+    path.write_text(json.dumps({
+        "states": fields["n_states"], "actions": fields["n_actions"],
+        "transition": np.asarray(fields["transition"]).tolist(),
+        "reward": {"values": np.asarray(fields["reward_values"]).tolist(),
+                   "probs": np.asarray(fields["reward_probs"]).tolist()},
+        "initial": np.asarray(fields["initial_dist"]).tolist()}))
 
 
 def one_state_mdp(action_rewards):
@@ -95,24 +114,23 @@ def random_mdp(rng, S=4, A=3, V=2):
 
 
 def test_validate_clean_mdp_returns_no_violations():
+    # building an MDP is its one check: a valid one builds, read-only
     mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
-    assert validate_mdp(mdp) == []
+    assert not mdp.transition.flags.writeable
 
 
 def test_validate_reports_bad_transition_row_with_indices():
-    P = np.eye(2)[:, None, :].copy()
-    P[0, 0] = [0.5, 0.4]
-    mdp = make_mdp(P, np.zeros((2, 1, 2)))
-    bad = validate_mdp(mdp)
+    fields = mdp_fields(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
+    fields["transition"][0, 0] = [0.5, 0.4]
+    bad = build_errors(fields)
     assert len(bad) == 1
     assert "0.9" in bad[0] and "(s=0, a=0)" in bad[0]
 
 
 def test_validate_reports_reward_support_outside_unit_interval():
-    mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
-    values = mdp.reward_values.copy()
-    values[1, 0, 1, 0] = 1.5
-    bad = validate_mdp(replace(mdp, reward_values=values))
+    fields = mdp_fields(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
+    fields["reward_values"][1, 0, 1, 0] = 1.5
+    bad = build_errors(fields)
     assert len(bad) == 1
     assert "1.5" in bad[0] and "(s=1, a=0, s'=1)" in bad[0]
 
@@ -123,28 +141,21 @@ def test_validate_reports_each_malformed_block():
     # entry that sums to 1 was reported as "sum 1.0, expected 1"
     P = np.eye(2)[:, None, :].copy()
     P[0, 0] = [1.5, -0.5]
-    mdp = make_mdp(P, np.zeros((2, 1, 2)), initial=[0.7, 0.7])
-    probs = mdp.reward_probs.copy()
-    probs[1, 0, 0, 0] = 0.25
-    mdp = replace(mdp, reward_probs=probs)
-    bad = validate_mdp(mdp)
+    fields = mdp_fields(P, np.zeros((2, 1, 2)), initial=[0.7, 0.7])
+    fields["reward_probs"][1, 0, 0, 0] = 0.25
+    bad = build_errors(fields)
     assert any("negative transition" in m for m in bad)
     assert any("reward probabilities sum" in m for m in bad)
     assert any("initial distribution sum 1.4" in m for m in bad)
     assert not any("negative initial" in m for m in bad)
-    bad = validate_mdp(replace(mdp, initial_dist=[1.5, -0.5]))
+    bad = build_errors({**fields, "initial_dist": [1.5, -0.5]})
     assert "negative initial distribution entry mu0(1) = -0.5" in bad
     assert not any("initial distribution sum" in m for m in bad)
 
 
 def test_validate_shape_mismatch_reported_first():
-    mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
-    mdp = FiniteMdp(
-        n_states=3, n_actions=1,
-        transition=mdp.transition, reward_values=mdp.reward_values,
-        reward_probs=mdp.reward_probs, initial_dist=mdp.initial_dist,
-    )
-    bad = validate_mdp(mdp)
+    fields = mdp_fields(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
+    bad = build_errors({**fields, "n_states": 3})
     assert len(bad) == 1 and "transition shape" in bad[0]
 
 
@@ -155,30 +166,60 @@ def test_validate_shape_mismatch_reported_first():
 def test_validate_reports_non_finite_entries(name, field):
     # every comparison with NaN is false, so the row-sum and sign checks
     # alone pass a row of NaN
-    mdp = two_state_cycle()
-    array = getattr(mdp, field).copy()
-    array[0] = np.nan
-    assert f"non-finite entries in the {name}" \
-        in validate_mdp(replace(mdp, **{field: array}))
+    fields = asdict(two_state_cycle())
+    fields[field][0] = np.nan
+    assert f"non-finite entries in the {name}" in build_errors(fields)
 
 
 def test_validate_policy_rejects_non_finite_entries():
     mdp = two_state_cycle()
-    assert "non-finite policy entries" in validate_policy(
-        ExpertPolicy(policy=np.full((2, 1), np.nan)), mdp)
-    assert "non-finite policy entries" in validate_policy(
-        ExpertPolicy(policy=np.array([[1.0], [np.inf]])), mdp)
+    for pi in (np.full((2, 1), np.nan), np.array([[1.0], [np.inf]])):
+        with pytest.raises(ValueError, match="^invalid policy: non-finite "
+                           "policy entries"):
+            validate_policy(ExpertPolicy(policy=pi), mdp)
 
 
 def test_validate_policy_rows():
     mdp = make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
     ok = ExpertPolicy(policy=np.array([[1.0], [1.0]]))
-    assert validate_policy(ok, mdp) == []
+    assert validate_policy(ok, mdp) is None
     bad_shape = ExpertPolicy(policy=np.ones((3, 1)))
-    assert "policy shape" in validate_policy(bad_shape, mdp)[0]
+    with pytest.raises(ValueError, match=r"^invalid policy: policy shape "
+                       r"\(3, 1\) does not match \(2, 1\)$"):
+        validate_policy(bad_shape, mdp)
     bad_row = ExpertPolicy(policy=np.array([[0.5], [1.0]]))
-    msgs = validate_policy(bad_row, mdp)
-    assert len(msgs) == 1 and "s=0" in msgs[0]
+    with pytest.raises(ValueError, match=r"^invalid policy: policy row sum "
+                       r"0\.5 at s=0, expected 1$"):
+        validate_policy(bad_row, mdp)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("transition", [[[1.0]], [[0.5, 0.5]]], "inhomogeneous"),
+    ("transition", [[[10**400]]], "int too large to convert to float"),
+    ("reward_probs", "x", "could not convert string to float"),
+    ("initial_dist", {"a": 1.0}, "float"),
+])
+def test_an_array_numpy_cannot_convert_names_its_field(field, value,
+                                                       message):
+    # numpy's own ValueError or OverflowError named no field
+    fields = {**asdict(one_state_mdp([0.5])), field: value}
+    with pytest.raises(ValueError, match=f"^{field}: .*{message}"):
+        FiniteMdp(**fields)
+
+
+def test_an_mdp_is_checked_only_when_it_is_built():
+    # the MDP check ran from four places; a pickled copy comes back
+    # without running it again
+    with mock.patch.object(mdp_module, "_mdp_errors",
+                           wraps=mdp_module._mdp_errors) as check:
+        mdp = two_state_cycle()
+        moved = replace(mdp, initial_dist=[0.0, 1.0])
+        assert check.call_count == 2
+        back = pickle.loads(pickle.dumps(moved))
+        sample_initial_state(back, np.random.default_rng(0))
+        run_expert(back, det_policy([0, 0], 1), 0, 3,
+                   np.random.default_rng(0))
+    assert check.call_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +351,6 @@ def rollout_cases(draw):
     )
     policy = rows(S, A) if stochastic_policy \
         else np.eye(A)[g.integers(0, A, size=S)]
-    assert validate_mdp(mdp) == []
     return (mdp, ExpertPolicy(policy=policy), draw(st.integers(0, S - 1)),
             draw(st.integers(1, 50)), draw(st.integers(0, 2**32 - 1)))
 
@@ -480,7 +520,6 @@ def sampler_cases(draw):
                             else np.eye(A)[g.integers(0, A, size=S)])
                for _ in range(draw(st.integers(1, 3)))]
     mdp = replace(mdp, initial_dist=edge(g, sparse_rows(g, (S,))))
-    assert validate_mdp(mdp) == []
     pulls = draw(st.lists(st.tuples(st.integers(0, len(experts) - 1),
                                     st.integers(1, 70), st.booleans()),
                           min_size=2, max_size=6))
@@ -591,17 +630,16 @@ def test_run_expert_rejects_an_invalid_policy():
 
 
 def test_run_expert_rejects_an_invalid_mdp():
+    # an invalid MDP cannot be built, so no rollout ever meets one
     mdp = two_state_cycle()
     P = mdp.transition.copy()
     P[0, 0] = [0.5, 0.4]
     values = mdp.reward_values.copy()
     values[1, 0, 0, 0] = 1.5
-    mdp = replace(mdp, transition=P, reward_values=values)
     with pytest.raises(ValueError, match=r"invalid MDP: transition row sum "
                        r"0\.9 at \(s=0, a=0\), expected 1; reward support "
                        r"value 1\.5 outside"):
-        run_expert(mdp, det_policy([0, 0], 1), 0, 4,
-                   np.random.default_rng(0), record=False)
+        replace(mdp, transition=P, reward_values=values)
 
 
 def test_run_expert_transition_frequencies_match_row():
@@ -666,10 +704,10 @@ def test_sample_initial_state_point_mass_consumes_no_randomness():
                                         ([0.0, 1.0 - 1e-10], 0)])
 def test_an_initial_law_is_a_point_mass_only_with_one_positive_entry(
         mu0, draws):
-    # [1e-10, 1.0] passes validate_mdp and was read off as state 1 without
-    # a draw, dropping the mass of state 0 that induced_chain counts
+    # [1e-10, 1.0] is a valid law (the MDP builds) and was read off as
+    # state 1 without a draw, dropping the mass of state 0 that
+    # induced_chain counts
     mdp = replace(two_state_cycle(), initial_dist=mu0)
-    assert validate_mdp(mdp) == []
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     s0 = sample_initial_state(mdp, rng)
     ref.random(draws)
@@ -685,7 +723,7 @@ def test_a_policy_row_is_a_point_mass_only_with_one_positive_entry(
     # action 1, one uniform a step, dropping the mass of action 0
     mdp = make_mdp(np.ones((1, 2, 1)), np.zeros((1, 2, 1)))
     policy = ExpertPolicy(policy=np.array([row]))
-    assert validate_policy(policy, mdp) == []
+    validate_policy(policy, mdp)
     for record in (False, True):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         run_expert(mdp, policy, 0, 5, rng, record)
@@ -704,7 +742,6 @@ def test_a_reward_row_is_a_point_mass_only_with_one_positive_entry(
                     reward_values=np.array([[[[0.3, 0.9]]]]),
                     reward_probs=np.array([[[probs]]]),
                     initial_dist=np.ones(1))
-    assert validate_mdp(mdp) == []
     for record in (False, True):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 5, rng, record)
@@ -717,10 +754,10 @@ def test_a_reward_row_is_a_point_mass_only_with_one_positive_entry(
                                  [np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5],
                                  [0.5, 0.5]])
 def test_sample_initial_state_rejects_an_invalid_mdp(mu0):
-    # each of these laws was sampled without a word, as state 2 or 1
-    mdp = make_mdp(np.ones((3, 1, 3)) / 3, np.zeros((3, 1, 3)), mu0)
+    # each of these laws was sampled without a word, as state 2 or 1; now
+    # an MDP holding one cannot be built
     with pytest.raises(ValueError, match="invalid MDP: .*initial"):
-        sample_initial_state(mdp, np.random.default_rng(0))
+        make_mdp(np.ones((3, 1, 3)) / 3, np.zeros((3, 1, 3)), mu0)
 
 
 def test_sample_initial_state_matches_distribution():
@@ -821,10 +858,11 @@ def test_load_mdp_rejects_bad_files(tmp_path):
         load_mdp(missing)
 
     invalid = tmp_path / "invalid.json"
-    P = two_state_cycle().transition.copy()
-    P[0, 0] = [0.5, 0.4]
-    save_mdp(replace(two_state_cycle(), transition=P), invalid)
-    with pytest.raises(ValueError, match="invalid MDP"):
+    fields = asdict(two_state_cycle())
+    fields["transition"][0, 0] = [0.5, 0.4]
+    write_mdp_doc(invalid, fields)
+    with pytest.raises(ValueError, match=r"invalid\.json: invalid MDP: "
+                       r"transition row sum 0\.9 at \(s=0, a=0\)"):
         load_mdp(invalid)
 
 
