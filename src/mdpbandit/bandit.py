@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import _is_int, _Stepper, sample_initial_state, write_csv
+from .mdp import _is_int, _Stepper, _tabulate, sample_initial_state, \
+    write_csv
 
 __all__ = [
     "HorizonSchedule",
@@ -178,7 +179,9 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
     replacement whether it fires or not, before the first draw, and
     ValueError names what does not fit.  Uniforms are drawn from rng ahead
     of use (the RNG stream contract in mdp), so rng may end past the last
-    one used.
+    one used.  Each block of them is binned once to the codes of the run's
+    tables, and each pull walks by table lookup; a run whose tables would
+    be too large walks by bisect on the uniforms (mdp._tabulate).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -199,6 +202,7 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
     steppers = [_Stepper(mdp, p) for p in experts]
     pending = [(when, [_Stepper(m, p) for p in experts])
                for when, m in events]
+    binned = _tabulate(steppers + [st for _, group in pending for st in group])
 
     n_exp = len(experts)
     state = BanditState.fresh(n_exp)
@@ -211,9 +215,10 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
     starts = np.zeros(iterations, dtype=np.int64)
     rewards = np.zeros(iterations)
 
-    # uniforms are drawn ahead in blocks, the stream per-pull draws make: a
-    # pull walks on T * width of them
-    block, i = [], 0
+    # uniforms are drawn ahead in blocks, the stream per-pull draws make,
+    # and binned to their codes, or kept as floats when the run walks by
+    # bisect: a pull walks on T * width of them
+    block, i = binned(np.empty(0)), 0
     sums, pulls = state.sums, state.pulls
     for n, T in enumerate(hors.tolist()):
         while pending and pending[0][0] <= n:
@@ -225,8 +230,8 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
         stepper = steppers[e]
         end = i + T * stepper.width
         if end > len(block):
-            block = block[i:] + rng.random(
-                max(_BLOCK, end - len(block))).tolist()
+            block = block[i:] + binned(rng.random(max(_BLOCK,
+                                                      end - len(block))))
             i, end = 0, end - i
         starts[n] = s
         total, s = stepper.walk(s, block[i:end])

@@ -79,10 +79,14 @@ class ExperimentSpec:
             isinstance(self.experts, list)
             and all(isinstance(p, str) for p in self.experts)),
             "experts must be a list of file names", self.experts)
-        _check(_is_int(self.t0) and self.t0 >= 1, "t0 must be an integer >= 1",
-               self.t0)
-        _check(_is_int(self.iterations) and self.iterations >= 1,
-               "iterations must be an integer >= 1", self.iterations)
+        for name in ("t0", "iterations"):
+            value = getattr(self, name)
+            _check(_is_int(value) and value >= 1,
+                   f"{name} must be an integer >= 1", value)
+            if value >= 2**63:
+                # the value itself may be hundreds of digits long
+                raise ValueError(f"{name} is too large: a 64-bit count is "
+                                 f"below 2**63")
         _check(isinstance(self.seeds, list) and len(self.seeds) > 0
                and all(_is_int(seed) and seed >= 0 for seed in self.seeds),
                "seeds must be a non-empty list of integers >= 0", self.seeds)

@@ -2,16 +2,15 @@
 package's file formats (MDP and policy JSON, and the one CSV writer).
 
 The simulator is the inner loop of everything else in this package, so the
-sampling path is deliberately plain Python over precomputed cumulative rows,
-which benchmarks far faster than any vectorized per-step alternative for the
-short horizons we run.  Per draw it tests one interval and bisects only when
-the draw falls outside it (see below).
+sampling path is deliberately plain Python over precomputed rows, which
+benchmarks far faster than any vectorized per-step alternative for the
+short horizons we run.
 
 RNG stream contract (what a seeded rollout of T steps consumes): T * d
 uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
 read step by step as (action draw, transition draw, reward draw), whether
-or not the rollout records; a deterministic source reads 0.0 instead,
-which picks the one entry of its row [1.0].  A source is deterministic when
+or not the rollout records; a deterministic source reads 0 instead, which
+picks the one entry of its row [1.0].  A source is deterministic when
 each row has exactly one positive entry (_point_masses), whatever its value.
 bandit.run_mab draws these values ahead, a few thousand at a time, which
 is the same stream: a run uses the same values in the same order, but the
@@ -23,26 +22,23 @@ its experts, each (s, a) row holds the next states, their cumulative mass
 and their reward rows, each reward row on its support points of positive
 probability.  Per (MDP, expert), a stepper holds, for each state, the
 policy's cumulative row over the actions it takes and those actions' MDP
-rows.  sample_initial_state draws from the initial law's row.
+rows.  sample_initial_state draws from the initial law's row.  run_expert
+walks these rows by bisect_right, one bisect per draw.
 
-Each row the walk reads also carries the interval [lo, hi) = [cum[k-1],
-cum[k]) of its widest outcome k, cum[-1] read as 0.0, and the walk tests
-lo <= u < hi before it bisects.  On a compact row bisect_right(cum, u)
-returns k exactly when cum[k-1] <= u < cum[k], so a hit picks the outcome
-the bisect would pick and a miss runs the bisect: the test changes no
-draw's outcome, and no output byte.  The MDP's transition and reward rows
-get their intervals once, with the rows; a stepper adds its action rows'.
-The bench rows are lopsided (a normal cell moves the intended way with
-probability 0.97), so most draws hit.  The fast path keeps a split layout:
-per state a 4-field hot row (lo, hi, next state, reward), and the full
-row, read only on a miss.
-
-_Stepper.walk has a fast step loop for a deterministic policy with
-deterministic rewards and a general one for every other case; only a
-fast-path stepper builds the split layout.  run_expert walks, or with
-record=True runs a recording loop that bisects every draw, on the same
-draws, and returns a Trajectory of the states, actions and rewards, so the
-record flag never shifts what a seeded run draws.
+bandit.run_mab walks by table lookup instead (_tabulate).  Its cut points
+are every cumulative mass below 1.0 of every row its steppers can draw
+from, and each block of uniforms is binned once, in numpy, to the codes
+c = bisect_right(cuts, u).  A row's cumulative masses are among the cuts,
+so bisect_right(row, u) depends on u only through c, and each row becomes
+a table indexed by c that gives the row's outcome: the draw picks the
+outcome a bisect would pick, and no output byte changes.  A deterministic
+source reads code 0, where 0.0 falls.  With a deterministic policy and
+deterministic rewards (the fast path) a state's table holds (next state,
+reward); otherwise it holds the drawn action's transition table, whose
+entries are (next state, reward table).  Tables are built once per run and
+shared by the steppers of an MDP.  A run whose tables would hold more than
+_TABLE_CAP entries (rows x codes) builds none and walks by bisect on the
+uniforms themselves, on the same draws.
 
 The MDP's rows are cached on the instance, whose arrays are read-only.
 A stepper costs little next to them and is not cached: run_expert builds
@@ -57,11 +53,12 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -110,11 +107,11 @@ class FiniteMdp:
         for name in ("transition", "reward_values", "reward_probs",
                      "initial_dist"):
             try:
-                array = np.array(getattr(self, name), dtype=float)
+                values = np.array(getattr(self, name), dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         bad = _mdp_errors(self)
         if bad:
             raise ValueError("invalid MDP: " + "; ".join(bad[:5]))
@@ -151,12 +148,19 @@ def deterministic_reward(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mdp_errors(mdp: FiniteMdp) -> list[str]:
-    """Every stochasticity violation of mdp's arrays, with indices."""
-    bad = [f"non-finite entries in the {name}" for name, arr in (
+    """Every violation of mdp's counts and stochasticity violation of its
+    arrays, with indices."""
+    counts = [f"{name} must be an integer >= 1, got {count!r}"
+              for name, count in (("n_states", mdp.n_states),
+                                  ("n_actions", mdp.n_actions))
+              if not (_is_int(count) and count >= 1)]
+    bad = counts + [f"non-finite entries in the {name}" for name, arr in (
         ("transition", mdp.transition), ("reward values", mdp.reward_values),
         ("reward probabilities", mdp.reward_probs),
         ("initial distribution", mdp.initial_dist))
         if not np.isfinite(arr).all()]
+    if counts:
+        return bad  # the shape checks below compare against the counts
     P = mdp.transition
     if P.shape != (mdp.n_states, mdp.n_actions, mdp.n_states):
         bad.append(f"transition shape {P.shape} does not match "
@@ -226,30 +230,21 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _row(cum: list, *items) -> tuple:
-    """(lo, hi, k, cum, *items), where [lo, hi) = [cum[k-1], cum[k]) is the
-    widest interval of the cumulative row cum, cum[-1] read as 0.0; k is
-    the lowest on ties."""
-    widths = [hi - lo for lo, hi in zip([0.0, *cum], cum)]
-    k = widths.index(max(widths))
-    return (cum[k - 1] if k else 0.0), cum[k], k, cum, *items
-
-
 def _compact(probs: np.ndarray, items) -> list:
-    """_row(cum, kept) of each row of probs.  cum is the float cumulative
-    mass over the row's positive entries, in order, with its last entry set
-    to exactly 1.0, and kept holds the row's items at those places.
+    """(cum, kept) of each row of probs.  cum is the float cumulative mass
+    over the row's positive entries, in order, with its last entry set to
+    exactly 1.0, and kept holds the row's items at those places.
 
     bisect_right(cum, u) picks the entry a bisect over the full row would:
     a zero-mass entry adds an exact 0.0 to the sum, and u may lie past a
     float sum that stops short of 1 (ten 0.1s sum to 0.9999999999999999),
     as Generator.random returns values up to the largest double below 1.
-    A row with one positive entry is (0.0, 1.0, 0, [1.0], kept)."""
+    A row with one positive entry is ([1.0], kept)."""
     rows = []
     for ps, keep, xs in zip(probs.tolist(), (probs > 0).tolist(), items):
         cum = list(accumulate(compress(ps, keep)))
         cum[-1] = 1.0
-        rows.append(_row(cum, list(compress(xs, keep))))
+        rows.append((cum, list(compress(xs, keep))))
     return rows
 
 
@@ -260,138 +255,210 @@ def _point_masses(probs: np.ndarray) -> np.ndarray:
 
 
 def _mdp_rows(mdp: FiniteMdp) -> list:
-    """rows[s][a] = (*_row(cumulative mass, next states), reward rows, a),
-    where a reward row is _row(cumulative mass, values)."""
+    """rows[s][a] = (cumulative mass, next states, reward rows, a), where a
+    reward row is (cumulative mass, values)."""
     S, A = mdp.n_states, mdp.n_actions
     pos = mdp.transition > 0
     rewards = iter(_compact(mdp.reward_probs[pos],
                             mdp.reward_values[pos].tolist()))
     rows = iter(_compact(mdp.transition.reshape(S * A, S), repeat(range(S))))
     # boolean indexing is row major: each (s, a) row's reward rows come next
-    return [[(*row, list(islice(rewards, len(row[3]))), a)
-             for a, row in zip(range(A), rows)] for _ in range(S)]
+    return [[(cum, nxt, list(islice(rewards, len(cum))), a)
+             for a, (cum, nxt) in zip(range(A), rows)] for _ in range(S)]
 
 
 class _Stepper:
     """One expert's sampler on one MDP.
 
-    rows[s] is (lo, hi, j, cumulative mass, MDP rows) over the actions taken
-    in s, each MDP row (lo, hi, k, cumulative mass, next states, reward
-    rows, a) and each reward row (lo, hi, v, cumulative mass, values);
-    (lo, hi, index) is a row's widest interval (_row).  A row with one
-    positive entry is [1.0], whose interval [0.0, 1.0) holds the 0.0 a
-    deterministic source reads.
-    With a deterministic policy and deterministic rewards (the fast path)
-    the walk reads hot and flat instead: hot[s] is (lo, hi, next state,
-    reward) of the widest outcome of the one action's row and flat[s] is
-    that row, (cumulative mass, next states, rewards).  Otherwise hot and
-    flat are None."""
+    rows[s] is (cumulative mass, MDP rows) over the actions taken in s, each
+    MDP row (cumulative mass, next states, reward rows, a) and each reward
+    row (cumulative mass, values); a row with one positive entry is [1.0].
+    tab is None, or the code tables _tabulate gives it: with a deterministic
+    policy and deterministic rewards (the fast path, width 1) tab[s][c] is
+    (next state, reward), and otherwise tab[s][c] is the transition table
+    of the action drawn, whose entries are (next state, reward table)."""
 
-    __slots__ = ("stoch_pol", "stoch_rew", "width", "rows", "flat", "hot")
+    __slots__ = ("mdp", "stoch_pol", "stoch_rew", "width", "rows", "tab")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
         validate_policy(policy, mdp)
         pi = policy.policy
+        self.mdp = mdp
         # a policy or reward row with exactly one positive entry is a point
         # mass on its argmax, whatever the entry's value; others are drawn
         self.stoch_pol = not _point_masses(pi).all()
         self.stoch_rew = not _point_masses(mdp.reward_probs).all()
         self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
         self.rows = _compact(pi, mdp._rows)
-        if self.stoch_pol or self.stoch_rew:
-            self.flat = self.hot = None
-            return
-        self.flat, self.hot = [], []
-        for _, _, _, _, ((lo, hi, k, cum, nxt, rew, _),) in self.rows:
-            rewards = [row[-1][0] for row in rew]
-            self.flat.append((cum, nxt, rewards))
-            self.hot.append((lo, hi, nxt[k], rewards[k]))
+        self.tab = None
 
     def draws(self, uniforms: list):
         """The (action, transition, reward) draw of each step; a
-        deterministic source reads 0.0, which picks the one entry of its
-        row [1.0]."""
+        deterministic source reads 0, which picks the one entry of its row
+        [1.0] and is the code of 0.0."""
         it = iter(uniforms)
-        return zip(it if self.stoch_pol else repeat(0.0), it,
-                   it if self.stoch_rew else repeat(0.0))
+        return zip(it if self.stoch_pol else repeat(0), it,
+                   it if self.stoch_rew else repeat(0))
 
-    def walk(self, s: int, uniforms: list) -> tuple:
-        """Step from s on uniforms, width of them a step; returns (total
-        reward, final state).  Each draw u is tested against its row's
-        widest interval first, and bisected only when it falls outside."""
+    def walk(self, s: int, draws: list, trail: list | None = None) -> tuple:
+        """Step from s on draws, width of them a step; returns (total
+        reward, final state).  Without tables the draws are uniforms, each
+        bisected in its row, and trail, if given, gets (next state, action,
+        reward) of each step; with tables they are codes, each looked up."""
         total = 0.0
-        if self.hot is not None:
-            # fast path: deterministic policy and rewards, one uniform a step
-            hot, flat = self.hot, self.flat
-            for x in uniforms:
-                lo, hi, t, r = hot[s]
-                if lo <= x < hi:
-                    total += r
-                    s = t
-                else:
-                    cum, nxt, rew = flat[s]
-                    k = bisect_right(cum, x)
-                    total += rew[k]
-                    s = nxt[k]
-            return total, s
-        rows = self.rows
-        for xa, xt, xr in self.draws(uniforms):
-            lo, hi, j, acum, arows = rows[s]
-            if not lo <= xa < hi:
-                j = bisect_right(acum, xa)
-            lo, hi, k, cum, nxt, rew, _ = arows[j]
-            if not lo <= xt < hi:
+        tab = self.tab
+        if tab is None:
+            rows = self.rows
+            for xa, xt, xr in self.draws(draws):
+                acum, arows = rows[s]
+                cum, nxt, rew, a = arows[bisect_right(acum, xa)]
                 k = bisect_right(cum, xt)
-            lo, hi, v, rcum, rvals = rew[k]
-            if not lo <= xr < hi:
-                v = bisect_right(rcum, xr)
-            total += rvals[v]
-            s = nxt[k]
+                rcum, rvals = rew[k]
+                r = rvals[bisect_right(rcum, xr)]
+                total += r
+                s = nxt[k]
+                if trail is not None:
+                    trail.append((s, a, r))
+        elif self.width == 1:
+            for c in draws:
+                s, r = tab[s][c]
+                total += r
+        else:
+            for ca, ct, cr in self.draws(draws):
+                s, rtab = tab[s][ca][ct]
+                total += rtab[cr]
         return total, s
+
+
+_TABLE_CAP = 2**20    # table entries (rows x codes) past which a run bisects
+_BUCKET_BITS = 14     # the binner's buckets split [0, 1) in 2**14 parts
+
+
+def _tabulate(steppers: list):
+    """Give each stepper its code tables and return the binner, which maps
+    a float array of uniforms to the sequence of their codes.  When the
+    tables would hold more than _TABLE_CAP entries it builds none and
+    returns np.ndarray.tolist: the steppers walk the uniforms by bisect.
+
+    The cuts are every cumulative mass below 1.0 of the steppers' MDPs'
+    reward and transition rows and of their policy rows; code c covers the
+    u with bisect_right(cuts, u) == c.  The outcome a row gives at c, the
+    number of its masses at or below each such u, is counted in numpy for
+    every row at once, and each kind of row (reward, transition, policy)
+    gathers its tables from an object array of its outcomes.  A mass of
+    1.0 is no cut, as u < 1.0, so a row with one positive entry gives that
+    entry at every code."""
+    mdps = list({id(st.mdp): st.mdp for st in steppers}.values())
+    general = [st for st in steppers if st.width > 1]
+    trows = [row for mdp in mdps for srow in mdp._rows for row in srow]
+    rrows = [rrow for row in trows for rrow in row[2]]
+    prows = [row for st in general for row in st.rows]
+    cums = [row[0] for rows in (rrows, trows, prows) for row in rows]
+    lens = np.fromiter(map(len, cums), np.intp, len(cums))
+    flat = np.fromiter(chain.from_iterable(cums), float, lens.sum())
+    # sorted without repeats; not np.unique, whose first call in a process
+    # takes about 9 ms, nor a Python set, which takes a second a million
+    cuts = np.sort(flat[flat < 1.0])
+    cuts = cuts[np.diff(cuts, prepend=-1.0) > 0]
+    n = len(cuts) + 1   # codes 0 ... len(cuts)
+    if len(cums) * n > _TABLE_CAP:
+        return np.ndarray.tolist
+    # a mass counts from code col on; col n (a mass of 1.0) never does
+    col = np.searchsorted(cuts, flat) + 1
+    at = np.repeat(np.arange(len(cums)) * (n + 1), lens) + col
+    starts = np.concatenate(([0], lens.cumsum()))
+    # index[i, c]: the place in flat of the outcome row i gives at code c
+    index = np.bincount(at, minlength=len(cums) * (n + 1)).reshape(
+        -1, n + 1)[:, :n].cumsum(axis=1) + starts[:-1, None]
+    objects = np.empty(len(flat), dtype=object)
+
+    def tables(first: int, count: int, outcomes) -> list:
+        """The tables of rows first ... first + count - 1 of cums, whose
+        outcomes, in the order of flat, outcomes yields."""
+        lo, hi = starts[first], starts[first + count]
+        objects[lo:hi] = np.fromiter(outcomes, object, hi - lo)
+        return objects[index[first:first + count]].tolist()
+
+    # the transition table of (s, a) in mdps[i] is at i * S * A + s * A + a
+    S, A = mdps[0].n_states, mdps[0].n_actions
+    where = {id(mdp): i * S * A for i, mdp in enumerate(mdps)}
+    first = len(rrows)
+    if len(general) < len(steppers):
+        fast = tables(first, len(trows), (
+            (t, rvals[0]) for _, nxt, rew, _ in trows
+            for t, (_, rvals) in zip(nxt, rew)))
+        for st in steppers:
+            if st.width == 1:
+                base = where[id(st.mdp)]
+                st.tab = [fast[base + s * A + arows[0][3]]
+                          for s, (_, arows) in enumerate(st.rows)]
+    if general:
+        rtabs = iter(tables(0, len(rrows), chain.from_iterable(
+            rvals for _, rvals in rrows)))
+        ttabs = tables(first, len(trows), (
+            (t, next(rtabs)) for _, nxt, _, _ in trows for t in nxt))
+        ptabs = iter(tables(first + len(trows), len(prows), (
+            ttabs[where[id(st.mdp)] + s * A + row[3]] for st in general
+            for s, (_, arows) in enumerate(st.rows) for row in arows)))
+        for st in general:
+            st.tab = [next(ptabs) for _ in st.rows]
+
+    return _binner(cuts)
+
+
+def _binner(cuts: np.ndarray):
+    """The function that maps a float array of uniforms in [0, 1) to the
+    array of their codes bisect_right(cuts, u), cuts sorted.  It reads a
+    code off a table of 2**14 equal buckets of [0, 1), exact as u * 2**14
+    is, and bisects the cuts only for the u in a bucket that holds a cut
+    inside it, where the code depends on u.  The codes come as an
+    array.array, which a walk iterates as fast as a list and which takes
+    a copy of the bytes to build, where a list takes a Python int each."""
+    size = 2**_BUCKET_BITS
+    edges = np.arange(size + 1) / size
+    lo = np.searchsorted(cuts, edges[:-1], side="right")
+    bucket = np.where(np.searchsorted(cuts, edges[1:]) > lo, -1, lo).astype(
+        np.int64)
+
+    def codes(uniforms: np.ndarray) -> array:
+        c = bucket[(uniforms * size).astype(np.intp)]
+        mixed = np.flatnonzero(c < 0)
+        c[mixed] = np.searchsorted(cuts, uniforms[mixed], side="right")
+        return array("q", c.tobytes())
+
+    return codes
 
 
 def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
                rng: np.random.Generator, record: bool = True):
     """Run one expert for T steps from s0; returns (avg_reward, final_state, trajectory).
 
-    avg_reward is the per-step mean, the R_k fed to the selector.  With
-    record=False the trajectory is None but the consumed RNG stream is
-    identical, so logs with and without trajectories replay bit for bit.
-    A policy that validate_policy rejects on mdp raises ValueError.
+    avg_reward is the per-step mean, the R_k fed to the selector.  The
+    rollout bisects each draw in its compact row, one loop whether it
+    records or not.  With record=False the trajectory is None but the
+    consumed RNG stream is identical, so logs with and without
+    trajectories replay bit for bit.  A policy that validate_policy
+    rejects on mdp raises ValueError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 <= s0 < mdp.n_states:
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
     stepper = _Stepper(mdp, policy)
-    uniforms = rng.random(T * stepper.width).tolist()
+    trail = [] if record else None
+    total, s = stepper.walk(s0, rng.random(T * stepper.width).tolist(), trail)
     if not record:
-        total, s = stepper.walk(s0, uniforms)
         return total / T, s, None
-
-    total, s = 0.0, s0
-    states, actions, rewards = [s0], [], []
-    for xa, xt, xr in stepper.draws(uniforms):
-        *_, acum, arows = stepper.rows[s]
-        *_, cum, nxt, rew, a = arows[bisect_right(acum, xa)]
-        k = bisect_right(cum, xt)
-        *_, rcum, rvals = rew[k]
-        r = rvals[bisect_right(rcum, xr)]
-        total += r
-        s = nxt[k]
-        states.append(s)
-        actions.append(a)
-        rewards.append(r)
+    states, actions, rewards = zip(*trail)
     return total / T, s, Trajectory(
-        states=np.asarray(states), actions=np.asarray(actions),
+        states=np.asarray((s0, *states)), actions=np.asarray(actions),
         rewards=np.asarray(rewards))
 
 
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
     """Draw s0 from mu0's compact row.  A law with exactly one positive
     entry is read off without consuming RNG."""
-    *_, cum, states = _compact(mdp.initial_dist[None],
-                               [range(mdp.n_states)])[0]
+    cum, states = _compact(mdp.initial_dist[None], [range(mdp.n_states)])[0]
     return states[0] if len(cum) == 1 else \
         states[bisect_right(cum, float(rng.random()))]
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdpbandit import bandit
+from mdpbandit import mdp as mdp_module
 from mdpbandit.bandit import (
     BanditState,
     HorizonSchedule,
@@ -22,8 +23,8 @@ from mdpbandit.gridworld import permute_actions
 from mdpbandit.mdp import ExpertPolicy, FiniteMdp, run_expert
 
 from oracles import confidence_bound, horizon, reference_run_mab
-from test_mdp import det_policy, make_mdp, one_state_mdp, sparse_rows, \
-    swap_or_stay
+from test_mdp import BoundaryDraws, boundary_pool, det_policy, edge_rows, \
+    make_mdp, one_state_mdp, random_mdp, sparse_rows, swap_or_stay
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +338,44 @@ def test_run_mab_matches_a_manual_replay():
         assert log.avg_rewards[n] == avg
 
 
-def random_environment(g, S, A, V, spread_start):
+def random_environment(g, S, A, V, spread_start, edge=lambda g, w: w):
     """An MDP on S states and A actions with V-point rewards, started from
-    one state or from a law over all of them."""
+    one state or from a law over all of them; edge may rewrite the rows of
+    its transition and reward kernels (edge_rows)."""
     return FiniteMdp(
         n_states=S, n_actions=A,
-        transition=sparse_rows(g, (S, A, S)),
+        transition=edge(g, sparse_rows(g, (S, A, S))),
         reward_values=g.random((S, A, S, V)),
-        reward_probs=sparse_rows(g, (S, A, S, V), tenths=V >= 10),
+        reward_probs=edge(g, sparse_rows(g, (S, A, S, V), tenths=V >= 10)),
         initial_dist=g.dirichlet(np.ones(S)) if spread_start
         else np.eye(S)[g.integers(S)])
 
 
 @st.composite
 def mab_cases(draw):
-    """(run_mab arguments, uniforms per block): S 1-5, A 1-3; one-, two-
-    and twelve-point rewards; a point mass or a spread initial law;
-    deterministic and eps-mixed experts; constant and growing schedules; no
-    event, a permutation event, or an event installing another random MDP,
-    which may change the draws a step takes (reward support); UCB or a
-    cycling selector."""
+    """(run_mab arguments but the generator, uniforms per block, generator
+    pair): S 1-5, A 1-3; one-, two- and twelve-point rewards; a point mass
+    or a spread initial law; deterministic and eps-mixed experts; constant
+    and growing schedules; no event, a permutation event, or an event
+    installing another random MDP, which may change the draws a step takes
+    (reward support); UCB or a cycling selector.  The generators are two
+    Generators on one seed or, in half the cases, two BoundaryDraws over
+    the cut points of every MDP's and expert's rows and the double just
+    below each, where binning a draw to its code is most fragile; those
+    cases also rewrite rows of every kernel but the initial law with
+    edge_rows, whose cumulative masses repeat and tie."""
     S, A = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boundary = draw(st.booleans())
+    edge = edge_rows if boundary else lambda g, w: w
     mdp = random_environment(g, S, A, draw(st.sampled_from([1, 2, 12])),
-                             draw(st.booleans()))
+                             draw(st.booleans()), edge)
     experts = []
     for _ in range(draw(st.integers(1, 3))):
         pi = np.eye(A)[g.integers(0, A, size=S)]
         if draw(st.booleans()):
             eps = draw(st.sampled_from([0.05, 0.3, 1.0]))
-            pi = (1.0 - eps) * pi + eps / A
+            pi = edge(g, (1.0 - eps) * pi + eps / A)
         experts.append(ExpertPolicy(policy=pi))
     schedule = HorizonSchedule(draw(st.integers(1, 6)),
                                draw(st.sampled_from([0.0, 0.25, 1.0])))
@@ -380,7 +389,7 @@ def mab_cases(draw):
                 mdp, g.permutation(A).tolist())))
         else:
             events.append((when, random_environment(
-                g, S, A, draw(st.sampled_from([1, 2, 12])), False)))
+                g, S, A, draw(st.sampled_from([1, 2, 12])), False, edge)))
     selector = ucb_selector([draw(st.sampled_from([0.0, 0.5, 2.0]))
                              for _ in experts])
     if draw(st.booleans()):
@@ -388,24 +397,81 @@ def mab_cases(draw):
             return (3 * state.n + 1) % len(experts)
     seed = draw(st.integers(0, 2**32 - 1))
     block = draw(st.sampled_from([1, 5, 64, 4096]))
-    return (mdp, experts, selector, schedule, iterations, seed, events), block
+    if boundary:
+        pool = boundary_pool(
+            [k for m in [mdp] + [m for _, m in events]
+             for k in (m.transition, m.reward_probs, m.initial_dist)]
+            + [e.policy for e in experts])
+        rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
+    else:
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    return (mdp, experts, selector, schedule, iterations, events), block, rngs
 
 
 @settings(max_examples=150)
 @given(mab_cases())
 def test_run_mab_replays_the_per_pull_loop(case):
-    (mdp, experts, selector, schedule, iterations, seed, events), block = case
+    (mdp, experts, selector, schedule, iterations, events), block, \
+        (rng, ref_rng) = case
     with mock.patch.object(bandit, "_BLOCK", block):
-        log = run_mab(mdp, experts, selector, schedule, iterations,
-                      np.random.default_rng(seed), events)
+        log = run_mab(mdp, experts, selector, schedule, iterations, rng,
+                      events)
     ref = reference_run_mab(mdp, experts, selector, schedule, iterations,
-                            np.random.default_rng(seed), events)
+                            ref_rng, events)
     for name in ("experts", "horizons", "start_states", "avg_rewards",
                  "t_start"):
         got, want = getattr(log, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert got.tolist() == want.tolist(), name
     assert log.meta == ref.meta
+
+
+def test_a_run_over_the_table_cap_walks_by_bisect_to_the_same_bytes(
+        tmp_path, monkeypatch):
+    # the tables hold rows x codes entries; past the cap the run keeps the
+    # uniforms and bisects each in its compact row, on the same draws.  The
+    # event MDP's rewards are deterministic, so after it the deterministic
+    # expert takes the fast path
+    g = np.random.default_rng(4)
+    mdp = random_mdp(g)
+    event = make_mdp(g.dirichlet(np.ones(4), size=(4, 3)), g.random((4, 3, 4)))
+    experts = [det_policy([0, 2, 1, 1], 3),
+               ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4))]
+    walks = []
+    walk = mdp_module._Stepper.walk
+
+    def spy(stepper, s, draws, trail=None):
+        walks.append(stepper.tab is None)
+        return walk(stepper, s, draws, trail)
+
+    monkeypatch.setattr(mdp_module._Stepper, "walk", spy)
+    texts = []
+    for cap in (mdp_module._TABLE_CAP, 0):
+        monkeypatch.setattr(mdp_module, "_TABLE_CAP", cap)
+        walks.clear()
+        log = run_mab(mdp, experts, ucb_selector([0.5, 0.5]),
+                      HorizonSchedule(3, 0.5), 80,
+                      np.random.default_rng(11), [(40, event)])
+        assert set(walks) == {cap == 0}
+        log.to_csv(tmp_path / "log.csv")
+        texts.append((tmp_path / "log.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_many_distinct_masses_take_the_run_past_the_table_cap():
+    # 40 states, Dirichlet rows and two-point rewards: about 6e3 rows and
+    # 1e4 distinct cumulative masses, far past the cap
+    g = np.random.default_rng(6)
+    mdp = random_mdp(g, S=40, A=3)
+    steppers = [mdp_module._Stepper(mdp, ExpertPolicy(
+        policy=g.dirichlet(np.ones(3), size=40)))]
+    # past the cap the binner hands the uniforms back as floats
+    assert mdp_module._tabulate(steppers)(np.array([0.25, 0.5])) == [0.25, 0.5]
+    assert steppers[0].tab is None
+    small = [mdp_module._Stepper(random_mdp(g), ExpertPolicy(
+        policy=g.dirichlet(np.ones(3), size=4)))]
+    assert mdp_module._tabulate(small)(np.array([0.0])).tolist() == [0]
+    assert small[0].tab is not None
 
 
 def test_run_mab_rejects_a_horizon_past_int64_before_the_first_pull():

@@ -161,6 +161,15 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="event"):
         ExperimentSpec(label="x", t0=4, c=0.1, iterations=5, seeds=[0],
                        out="o", events=[{"iteration": 3}])
+    # a count past int64 named no field: "int too large to convert to float"
+    for name in ("t0", "iterations"):
+        for value in (2**63, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} is too large"):
+                ExperimentSpec(**{"label": "x", "t0": 4, "c": 0.0,
+                                  "iterations": 5, "seeds": [0], "out": "o",
+                                  name: value})
+        ExperimentSpec(**{"label": "x", "t0": 4, "c": 0.0, "iterations": 5,
+                          "seeds": [0], "out": "o", name: 2**63 - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1190,8 @@ def test_an_integer_too_large_for_a_float_exits_one(probe_dir, tmp_path,
                                                     name, path):
     # converting 10**400 to a float raised OverflowError, which the command
     # line reported as a runtime failure (exit 3).  A file's loader names
-    # the file; iterations is a valid integer, and the run's horizon check
-    # that rejects it is not the loader's
+    # the file, and the spec names the field too: iterations is a valid
+    # integer, and exited 1 with "int too large to convert to float"
     work = mutated_probe(probe_dir, tmp_path, name, path, 10**400)
     commands = [["run", "--config", str(work / "spec.json")]]
     if name != "spec.json":
@@ -1191,7 +1200,8 @@ def test_an_integer_too_large_for_a_float_exits_one(probe_dir, tmp_path,
     for argv in commands:
         code, _, err = run_cli(argv)
         assert code == 1 and "too large" in err, err
-        assert path == ["iterations"] or f"error: {work / name}: " in err, err
+        assert f"error: {work / name}: " in err, err
+        assert path != ["iterations"] or "iterations is too large" in err, err
 
 
 def test_cli_the_legacy_observation_keys_are_read_and_ignored(tmp_path):

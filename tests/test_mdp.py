@@ -159,6 +159,19 @@ def test_validate_shape_mismatch_reported_first():
     assert len(bad) == 1 and "transition shape" in bad[0]
 
 
+@pytest.mark.parametrize("field, count", [
+    ("n_states", 2.0), ("n_actions", 1.0), ("n_states", True),
+    ("n_actions", 0), ("n_states", np.float64(2))])
+def test_a_state_or_action_count_must_be_a_positive_integer(field, count):
+    # a float count equal to the array's shape built, and
+    # sample_initial_state then raised TypeError
+    fields = mdp_fields(np.eye(2)[:, None, :], np.zeros((2, 1, 2)))
+    assert build_errors({**fields, field: count}) == [
+        f"{field} must be an integer >= 1, got {count!r}"]
+    assert make_mdp(np.eye(2)[:, None, :], np.zeros((2, 1, 2))).n_states == 2
+    FiniteMdp(**{**fields, "n_states": np.int64(2)})
+
+
 @pytest.mark.parametrize("name, field", [
     ("transition", "transition"), ("reward values", "reward_values"),
     ("reward probabilities", "reward_probs"),
@@ -441,13 +454,14 @@ def sparse_rows(g, shape, tenths=False):
 
 
 def edge_rows(g, w):
-    """Replace about half the rows of w, in place, with rows where the
-    widest outcome's interval [lo, hi) is hard to get right: a single
-    outcome; a lopsided row, one entry 1 - k ulp (k 1-4) and the rest tiny,
-    so that tiny entries after it may add nothing to the cumulative mass;
-    dyadic masses whose two widest entries have exactly equal width; or one
-    entry 1.0 and 1e-10 spread over the rest, a row that is no point mass
-    though its max is 1.0.  Zeros stay between the entries."""
+    """Replace about half the rows of w, in place, with rows whose
+    cumulative masses are hard to get right: a single outcome; a lopsided
+    row, one entry 1 - k ulp (k 1-4) and the rest tiny, so that tiny
+    entries after it may add nothing to the cumulative mass, which then
+    repeats; dyadic masses whose two widest entries have exactly equal
+    width; or one entry 1.0 and 1e-10 spread over the rest, a row that is
+    no point mass though its max is 1.0.  Zeros stay between the
+    entries."""
     n = w.shape[-1]
     for row in w.reshape(-1, n):
         kind, at = g.integers(8), g.permutation(n)
@@ -489,6 +503,19 @@ class BoundaryDraws:
         return self.pool[self.g.integers(len(self.pool), size=n)].reshape(size)
 
 
+def boundary_pool(kernels):
+    """0, the largest double below 1, and every raw and pinned cumulative
+    value of the rows of kernels and the double just below each: the
+    values where a bisect over full rows and one over compact rows could
+    part, and where a code changes."""
+    values = np.concatenate(
+        [f(k).ravel() for k in kernels
+         for f in (full_cdf, partial(np.cumsum, axis=-1))]
+        + [[0.0, np.nextafter(1.0, 0.0)]])
+    values = np.concatenate([values, np.nextafter(values, 0.0)])
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
 def stream_state(rng):
     if isinstance(rng, BoundaryDraws):
         return rng.used, rng.g.bit_generator.state
@@ -525,14 +552,8 @@ def sampler_cases(draw):
                           min_size=2, max_size=6))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        kernels = [mdp.transition, mdp.reward_probs, mdp.initial_dist] \
-            + [e.policy for e in experts]
-        values = np.concatenate(
-            [f(k).ravel() for k in kernels
-             for f in (full_cdf, partial(np.cumsum, axis=-1))]
-            + [[0.0, np.nextafter(1.0, 0.0)]])
-        values = np.concatenate([values, np.nextafter(values, 0.0)])
-        pool = np.unique(values[(values >= 0.0) & (values < 1.0)])
+        pool = boundary_pool([mdp.transition, mdp.reward_probs,
+                              mdp.initial_dist] + [e.policy for e in experts])
         rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
     else:
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -558,6 +579,73 @@ def test_compact_rows_sample_what_full_rows_sample(case):
         if record:
             assert (traj.states.tolist(), traj.actions.tolist(),
                     traj.rewards.tolist()) == ref
+
+
+EDGE = 2.0**-mdp_module._BUCKET_BITS   # width of a binner bucket
+
+
+@st.composite
+def cuts_and_draws(draw):
+    """(cuts, draws): sorted cuts in [0, 1), some at a bucket edge or one
+    ulp off one, some anywhere; draws at every bucket edge, at each cut
+    and one ulp either side, 0, the largest double below 1, and a few
+    uniforms."""
+    edges = st.integers(0, int(1 / EDGE) - 1).map(lambda k: k * EDGE)
+    near = edges.flatmap(lambda x: st.sampled_from(
+        [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]))
+    cuts = np.unique(draw(st.lists(st.one_of(
+        near, st.floats(0.0, 1.0, exclude_max=True)), max_size=60)))
+    cuts = cuts[(cuts >= 0.0) & (cuts < 1.0)]
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = np.concatenate([np.arange(0.0, 1.0, EDGE), cuts,
+                            np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)], g.random(100)])
+    return cuts, g.permutation(draws[(draws >= 0.0) & (draws < 1.0)])
+
+
+@settings(max_examples=100)
+@given(cuts_and_draws())
+def test_a_binned_code_is_the_bisect_of_the_cuts(case):
+    cuts, draws = case
+    want = [bisect_right(cuts.tolist(), u) for u in draws.tolist()]
+    assert mdp_module._binner(cuts)(draws).tolist() == want
+
+
+def test_a_code_table_gives_the_outcome_a_bisect_gives():
+    # read at the codes of draws at and just below every cut, a state's
+    # table gives the next state and reward the bisects of its compact
+    # rows give: (next state, reward) on the fast path, and the drawn
+    # action's table of (next state, reward table) on the general one,
+    # also over edge_rows, whose cumulative masses repeat and tie
+    g = np.random.default_rng(3)
+    cases = [
+        (make_mdp(g.dirichlet(np.ones(4), size=(4, 3)), g.random((4, 3, 4))),
+         det_policy([0, 2, 1, 1], 3)),
+        (random_mdp(g), ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4))),
+        (FiniteMdp(n_states=5, n_actions=3,
+                   transition=edge_rows(g, sparse_rows(g, (5, 3, 5))),
+                   reward_values=g.random((5, 3, 5, 4)),
+                   reward_probs=edge_rows(g, sparse_rows(g, (5, 3, 5, 4))),
+                   initial_dist=np.full(5, 0.2)),
+         ExpertPolicy(policy=edge_rows(g, sparse_rows(g, (5, 3)))))]
+    for mdp, policy in cases:
+        stepper = mdp_module._Stepper(mdp, policy)
+        codes = mdp_module._tabulate([stepper])
+        pool = boundary_pool([mdp.transition, mdp.reward_probs,
+                              policy.policy])
+        draws = g.choice(pool, size=(500, 3))
+        for (xa, xt, xr), (ca, ct, cr) in zip(
+                draws.tolist(), np.reshape(codes(draws.ravel()), (-1, 3))):
+            for s, (acum, arows) in enumerate(stepper.rows):
+                cum, nxt, rew, _ = arows[bisect_right(acum, xa)]
+                k = bisect_right(cum, xt)
+                rcum, rvals = rew[k]
+                if stepper.width == 1:
+                    assert stepper.tab[s][ct] == (nxt[k], rvals[0])
+                else:
+                    t, rtab = stepper.tab[s][ca][ct]
+                    assert (t, rtab[cr]) == (nxt[k],
+                                             rvals[bisect_right(rcum, xr)])
 
 
 def test_a_pickled_warm_cache_samples_the_same_stream():
@@ -601,9 +689,9 @@ def test_an_mdp_cannot_change_under_its_cached_rows():
     assert not moved.initial_dist.flags.writeable
     assert sample_initial_state(moved, np.random.default_rng(0)) == 1
     assert moved._rows is not mdp._rows
-    # each (s, a) row keeps its next states fifth, after its interval
-    assert [row[4] for row in moved._rows[0]] == [[0]]
-    assert [row[4] for row in mdp._rows[0]] == [[0, 1, 2]]
+    # each (s, a) row keeps its next states second, after its cumulative mass
+    assert [row[:2] for row in moved._rows[0]] == [([1.0], [0])]
+    assert [row[1] for row in mdp._rows[0]] == [[0, 1, 2]]
 
 
 def test_a_policy_edited_in_place_samples_its_new_actions():
