@@ -179,9 +179,11 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
     replacement whether it fires or not, before the first draw, and
     ValueError names what does not fit.  Uniforms are drawn from rng ahead
     of use (the RNG stream contract in mdp), so rng may end past the last
-    one used.  Each block of them is binned once to the codes of the run's
-    tables, and each pull walks by table lookup; a run whose tables would
-    be too large walks by bisect on the uniforms (mdp._tabulate).
+    one used; a pull of T steps reads T of them.  Each block is binned
+    once to the codes of the run's tables, one per (MDP, expert) and
+    state, and each pull walks by table lookup, one a step; a run whose
+    tables would be too large walks by bisect on the uniforms
+    (mdp._tabulate).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -217,7 +219,7 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
 
     # uniforms are drawn ahead in blocks, the stream per-pull draws make,
     # and binned to their codes, or kept as floats when the run walks by
-    # bisect: a pull walks on T * width of them
+    # bisect: a pull walks on T of them
     block, i = binned(np.empty(0)), 0
     sums, pulls = state.sums, state.pulls
     for n, T in enumerate(hors.tolist()):
@@ -227,14 +229,13 @@ def run_mab(mdp, experts, selector, schedule: HorizonSchedule,
         if not 0 <= e < n_exp:
             raise ValueError(f"selector chose expert {e!r} at iteration {n}; "
                              f"expected an index in range({n_exp})")
-        stepper = steppers[e]
-        end = i + T * stepper.width
+        end = i + T
         if end > len(block):
             block = block[i:] + binned(rng.random(max(_BLOCK,
                                                       end - len(block))))
             i, end = 0, end - i
         starts[n] = s
-        total, s = stepper.walk(s, block[i:end])
+        total, s = steppers[e].walk(s, block[i:end])
         i = end
         chosen[n] = e
         rewards[n] = avg = total / T

@@ -6,46 +6,41 @@ sampling path is deliberately plain Python over precomputed rows, which
 benchmarks far faster than any vectorized per-step alternative for the
 short horizons we run.
 
-RNG stream contract (what a seeded rollout of T steps consumes): T * d
-uniforms, d = 1 plus one per stochastic source (policy, reward kernel),
-read step by step as (action draw, transition draw, reward draw), whether
-or not the rollout records; a deterministic source reads 0 instead, which
-picks the one entry of its row [1.0].  A source is deterministic when
-each row has exactly one positive entry (_point_masses), whatever its value.
-bandit.run_mab draws these values ahead, a few thousand at a time, which
-is the same stream: a run uses the same values in the same order, but the
-caller's generator may end past the last value the run used.
+RNG stream contract (what a seeded rollout of T steps consumes): T
+uniforms, one a step, whether or not the rollout records.  Each picks the
+step's action, next state and reward at once.  bandit.run_mab draws these
+values ahead, a few thousand at a time, which is the same stream: a run
+uses the same values in the same order, but the caller's generator may
+end past the last value the run used.
 
-The sampler keeps each row on its positive entries only, and _compact
-builds every row it draws from.  Per MDP, built on first use and shared by
-its experts, each (s, a) row holds the next states, their cumulative mass
-and their reward rows, each reward row on its support points of positive
-probability.  Per (MDP, expert), a stepper holds, for each state, the
-policy's cumulative row over the actions it takes and those actions' MDP
-rows.  sample_initial_state draws from the initial law's row.  run_expert
-walks these rows by bisect_right, one bisect per draw.
+The sampler draws from compact rows, kept on their positive entries only;
+_compact builds every one of them.  Per (MDP, expert), a stepper holds
+one joint row per state s over the outcomes (a, s', v), in that order,
+each of mass pi(a|s) P(s'|s,a) q(v|s,a,s') (_joint_masses); a policy or
+reward row with exactly one positive entry (_point_masses) counts as
+exactly 1.0 there, whatever its value.  A row's marginal on s' is, up
+to rounding, the induced chain's kernel that chains.induced_chain
+certifies.  sample_initial_state draws from the initial law's row, or
+reads a point mass off without a draw.  run_expert walks the joint rows
+by bisect_right, one bisect a step.
 
-bandit.run_mab walks by table lookup instead (_tabulate).  Its cut points
-are every cumulative mass below 1.0 of every row its steppers can draw
-from, and each block of uniforms is binned once, in numpy, to the codes
-c = bisect_right(cuts, u).  A row's cumulative masses are among the cuts,
-so bisect_right(row, u) depends on u only through c, and each row becomes
-a table indexed by c that gives the row's outcome: the draw picks the
-outcome a bisect would pick, and no output byte changes.  A deterministic
-source reads code 0, where 0.0 falls.  With a deterministic policy and
-deterministic rewards (the fast path) a state's table holds (next state,
-reward); otherwise it holds the drawn action's transition table, whose
-entries are (next state, reward table).  Tables are built once per run and
-shared by the steppers of an MDP.  A run whose tables would hold more than
-_TABLE_CAP entries (rows x codes) builds none and walks by bisect on the
-uniforms themselves, on the same draws.
+bandit.run_mab walks by table lookup instead (_tabulate), on one kind of
+table.  Its cut points are every cumulative mass below 1.0 of its
+steppers' rows, and each block of uniforms is binned once, in numpy, to
+the codes c = bisect_right(cuts, u).  A row's cumulative masses are among
+the cuts, so bisect_right(row, u) depends on u only through c, and each
+row becomes a table indexed by c that gives the row's outcome, (next
+state, reward): the draw picks the outcome a bisect would pick, and
+every expert walks s, r = tab[s][c].  A run whose tables would hold more
+than _TABLE_CAP entries (rows x codes) builds none and walks by bisect on
+the uniforms themselves, on the same draws.
 
-The MDP's rows are cached on the instance, whose arrays are read-only.
-A stepper costs little next to them and is not cached: run_expert builds
-one per call and bandit.run_mab one per (MDP, expert) before its first
-draw, so a policy edited between runs is sampled as edited.  A FiniteMdp
-is checked once, when it is built, and validate_policy checks a policy
-wherever it meets an MDP; either raises ValueError.
+Nothing is cached: run_expert builds a stepper per call and bandit.run_mab
+one per (MDP, expert) before its first draw, so a policy edited between
+runs is sampled as edited.  A FiniteMdp holds read-only arrays and is
+checked once, when it is built, a pickled copy included, and
+validate_policy checks a policy wherever it meets an MDP; either raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -57,8 +52,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +84,9 @@ class FiniteMdp:
     [0, 1] and their probabilities.  Deterministic rewards are the V = 1
     special case, see :func:`deterministic_reward`.  An instance holds
     read-only float copies of its arrays, so an in-place edit raises
-    ValueError and the sampler's rows cached on it (_rows) stay true;
-    dataclasses.replace builds a new MDP with rows of its own.  Building
-    one checks it, and an invalid MDP raises ValueError.  A pickled copy,
-    such as a worker's, is not checked again and has writeable arrays.
+    ValueError.  Building one checks it, and an invalid MDP raises
+    ValueError; dataclasses.replace and unpickling build a new MDP, so a
+    copy is checked and read-only too.
     """
 
     n_states: int
@@ -116,10 +109,11 @@ class FiniteMdp:
         if bad:
             raise ValueError("invalid MDP: " + "; ".join(bad[:5]))
 
-    @cached_property
-    def _rows(self) -> list:
-        """The sampler's rows (see _mdp_rows), built on first use."""
-        return _mdp_rows(self)
+    def __reduce__(self):
+        # a copy, such as a worker's, is built, and so checked, again
+        return type(self), (self.n_states, self.n_actions, self.transition,
+                            self.reward_values, self.reward_probs,
+                            self.initial_dist)
 
     def mean_reward(self) -> np.ndarray:
         """Expected reward per (s, a, s'), shape (S, A, S)."""
@@ -230,103 +224,82 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _compact(probs: np.ndarray, items) -> list:
-    """(cum, kept) of each row of probs.  cum is the float cumulative mass
-    over the row's positive entries, in order, with its last entry set to
-    exactly 1.0, and kept holds the row's items at those places.
+def _compact(mass: np.ndarray) -> tuple:
+    """(row, col, cum) over the positive entries of a 2-D array of masses,
+    in row major order: cum is each row's float cumulative mass over them,
+    summed left to right, with its last entry set to exactly 1.0.
 
-    bisect_right(cum, u) picks the entry a bisect over the full row would:
-    a zero-mass entry adds an exact 0.0 to the sum, and u may lie past a
-    float sum that stops short of 1 (ten 0.1s sum to 0.9999999999999999),
-    as Generator.random returns values up to the largest double below 1.
-    A row with one positive entry is ([1.0], kept)."""
-    rows = []
-    for ps, keep, xs in zip(probs.tolist(), (probs > 0).tolist(), items):
-        cum = list(accumulate(compress(ps, keep)))
-        cum[-1] = 1.0
-        rows.append((cum, list(compress(xs, keep))))
-    return rows
+    bisect_right over a row's cum picks the entry a bisect over the full
+    row would: a zero-mass entry adds an exact 0.0 to the sum, and u may
+    lie past a float sum that stops short of 1 (ten 0.1s sum to
+    0.9999999999999999), as Generator.random returns values up to the
+    largest double below 1.  A row with one positive entry is [1.0]."""
+    row, col = np.nonzero(mass)
+    cum = np.cumsum(mass, axis=1)[row, col]
+    cum[np.diff(row, append=len(mass)) > 0] = 1.0
+    return row, col, cum
 
 
 def _point_masses(probs: np.ndarray) -> np.ndarray:
-    """Whether each row over the last axis has exactly one positive entry,
-    which makes it a point mass on its argmax, sampled without a draw."""
-    return np.count_nonzero(probs > 0, axis=-1) == 1
+    """probs with each row over the last axis that has exactly one
+    positive entry, a point mass on it whatever its value, set to exactly
+    1.0 there."""
+    one = np.count_nonzero(probs > 0, axis=-1) == 1
+    return np.where(one[..., None], probs > 0, probs)
 
 
-def _mdp_rows(mdp: FiniteMdp) -> list:
-    """rows[s][a] = (cumulative mass, next states, reward rows, a), where a
-    reward row is (cumulative mass, values)."""
-    S, A = mdp.n_states, mdp.n_actions
-    pos = mdp.transition > 0
-    rewards = iter(_compact(mdp.reward_probs[pos],
-                            mdp.reward_values[pos].tolist()))
-    rows = iter(_compact(mdp.transition.reshape(S * A, S), repeat(range(S))))
-    # boolean indexing is row major: each (s, a) row's reward rows come next
-    return [[(cum, nxt, list(islice(rewards, len(cum))), a)
-             for a, (cum, nxt) in zip(range(A), rows)] for _ in range(S)]
+def _joint_masses(mdp: FiniteMdp, pi: np.ndarray) -> np.ndarray:
+    """mass[s, (a, s', v)] = pi(a|s) P(s'|s,a) q(v|s,a,s'), shape (S, A S V),
+    multiplied in that order, over _point_masses of the policy and reward
+    rows."""
+    return ((_point_masses(pi)[..., None] * mdp.transition)[..., None]
+            * _point_masses(mdp.reward_probs)).reshape(mdp.n_states, -1)
 
 
 class _Stepper:
     """One expert's sampler on one MDP.
 
-    rows[s] is (cumulative mass, MDP rows) over the actions taken in s, each
-    MDP row (cumulative mass, next states, reward rows, a) and each reward
-    row (cumulative mass, values); a row with one positive entry is [1.0].
-    tab is None, or the code tables _tabulate gives it: with a deterministic
-    policy and deterministic rewards (the fast path, width 1) tab[s][c] is
-    (next state, reward), and otherwise tab[s][c] is the transition table
-    of the action drawn, whose entries are (next state, reward table)."""
+    rows[s] is (cumulative mass, outcomes, actions): the compact joint row
+    of state s over the outcomes (a, s', v) of positive _joint_masses, in
+    that order, each outcome (next state, reward) and its action a.  tab is
+    None, or the code tables _tabulate gives it: tab[s][c] is the outcome
+    of row s at code c."""
 
-    __slots__ = ("mdp", "stoch_pol", "stoch_rew", "width", "rows", "tab")
+    __slots__ = ("rows", "tab")
 
     def __init__(self, mdp: FiniteMdp, policy: ExpertPolicy):
         validate_policy(policy, mdp)
-        pi = policy.policy
-        self.mdp = mdp
-        # a policy or reward row with exactly one positive entry is a point
-        # mass on its argmax, whatever the entry's value; others are drawn
-        self.stoch_pol = not _point_masses(pi).all()
-        self.stoch_rew = not _point_masses(mdp.reward_probs).all()
-        self.width = 1 + self.stoch_pol + self.stoch_rew   # uniforms a step
-        self.rows = _compact(pi, mdp._rows)
+        S, V = mdp.n_states, mdp.reward_values.shape[-1]
+        row, col, cum = _compact(_joint_masses(mdp, policy.policy))
+        rewards = mdp.reward_values.reshape(S, -1)[row, col]
+        outcomes = list(zip((col // V % S).tolist(), rewards.tolist()))
+        actions = (col // (S * V)).tolist()
+        ends = np.cumsum(np.bincount(row, minlength=S)).tolist()
+        cum = cum.tolist()
+        self.rows = [(cum[lo:hi], outcomes[lo:hi], actions[lo:hi])
+                     for lo, hi in zip([0] + ends, ends)]
         self.tab = None
 
-    def draws(self, uniforms: list):
-        """The (action, transition, reward) draw of each step; a
-        deterministic source reads 0, which picks the one entry of its row
-        [1.0] and is the code of 0.0."""
-        it = iter(uniforms)
-        return zip(it if self.stoch_pol else repeat(0), it,
-                   it if self.stoch_rew else repeat(0))
-
     def walk(self, s: int, draws: list, trail: list | None = None) -> tuple:
-        """Step from s on draws, width of them a step; returns (total
-        reward, final state).  Without tables the draws are uniforms, each
-        bisected in its row, and trail, if given, gets (next state, action,
-        reward) of each step; with tables they are codes, each looked up."""
+        """Step from s on draws, one a step; returns (total reward, final
+        state).  Without tables the draws are uniforms, each bisected in
+        its row, and trail, if given, gets (next state, action, reward) of
+        each step; with tables they are codes, each looked up."""
         total = 0.0
         tab = self.tab
         if tab is None:
             rows = self.rows
-            for xa, xt, xr in self.draws(draws):
-                acum, arows = rows[s]
-                cum, nxt, rew, a = arows[bisect_right(acum, xa)]
-                k = bisect_right(cum, xt)
-                rcum, rvals = rew[k]
-                r = rvals[bisect_right(rcum, xr)]
+            for u in draws:
+                cum, outcomes, actions = rows[s]
+                k = bisect_right(cum, u)
+                s, r = outcomes[k]
                 total += r
-                s = nxt[k]
                 if trail is not None:
-                    trail.append((s, a, r))
-        elif self.width == 1:
+                    trail.append((s, actions[k], r))
+        else:
             for c in draws:
                 s, r = tab[s][c]
                 total += r
-        else:
-            for ca, ct, cr in self.draws(draws):
-                s, rtab = tab[s][ca][ct]
-                total += rtab[cr]
         return total, s
 
 
@@ -340,69 +313,35 @@ def _tabulate(steppers: list):
     tables would hold more than _TABLE_CAP entries it builds none and
     returns np.ndarray.tolist: the steppers walk the uniforms by bisect.
 
-    The cuts are every cumulative mass below 1.0 of the steppers' MDPs'
-    reward and transition rows and of their policy rows; code c covers the
-    u with bisect_right(cuts, u) == c.  The outcome a row gives at c, the
-    number of its masses at or below each such u, is counted in numpy for
-    every row at once, and each kind of row (reward, transition, policy)
-    gathers its tables from an object array of its outcomes.  A mass of
-    1.0 is no cut, as u < 1.0, so a row with one positive entry gives that
-    entry at every code."""
-    mdps = list({id(st.mdp): st.mdp for st in steppers}.values())
-    general = [st for st in steppers if st.width > 1]
-    trows = [row for mdp in mdps for srow in mdp._rows for row in srow]
-    rrows = [rrow for row in trows for rrow in row[2]]
-    prows = [row for st in general for row in st.rows]
-    cums = [row[0] for rows in (rrows, trows, prows) for row in rows]
-    lens = np.fromiter(map(len, cums), np.intp, len(cums))
-    flat = np.fromiter(chain.from_iterable(cums), float, lens.sum())
+    The cuts are every cumulative mass below 1.0 of the steppers' rows;
+    code c covers the u with bisect_right(cuts, u) == c.  The outcome a row
+    gives at c, the number of its masses at or below each such u, is
+    counted in numpy for every row at once, and the tables are gathered
+    from an object array of the outcomes.  A mass of 1.0 is no cut, as
+    u < 1.0, so a row with one positive entry gives that entry at every
+    code."""
+    rows = [row for st in steppers for row in st.rows]
+    lens = np.fromiter((len(cum) for cum, _, _ in rows), np.intp, len(rows))
+    flat = np.fromiter(chain.from_iterable(cum for cum, _, _ in rows), float,
+                       lens.sum())
     # sorted without repeats; not np.unique, whose first call in a process
     # takes about 9 ms, nor a Python set, which takes a second a million
     cuts = np.sort(flat[flat < 1.0])
     cuts = cuts[np.diff(cuts, prepend=-1.0) > 0]
     n = len(cuts) + 1   # codes 0 ... len(cuts)
-    if len(cums) * n > _TABLE_CAP:
+    if len(rows) * n > _TABLE_CAP:
         return np.ndarray.tolist
     # a mass counts from code col on; col n (a mass of 1.0) never does
     col = np.searchsorted(cuts, flat) + 1
-    at = np.repeat(np.arange(len(cums)) * (n + 1), lens) + col
-    starts = np.concatenate(([0], lens.cumsum()))
+    at = np.repeat(np.arange(len(rows)) * (n + 1), lens) + col
     # index[i, c]: the place in flat of the outcome row i gives at code c
-    index = np.bincount(at, minlength=len(cums) * (n + 1)).reshape(
-        -1, n + 1)[:, :n].cumsum(axis=1) + starts[:-1, None]
-    objects = np.empty(len(flat), dtype=object)
-
-    def tables(first: int, count: int, outcomes) -> list:
-        """The tables of rows first ... first + count - 1 of cums, whose
-        outcomes, in the order of flat, outcomes yields."""
-        lo, hi = starts[first], starts[first + count]
-        objects[lo:hi] = np.fromiter(outcomes, object, hi - lo)
-        return objects[index[first:first + count]].tolist()
-
-    # the transition table of (s, a) in mdps[i] is at i * S * A + s * A + a
-    S, A = mdps[0].n_states, mdps[0].n_actions
-    where = {id(mdp): i * S * A for i, mdp in enumerate(mdps)}
-    first = len(rrows)
-    if len(general) < len(steppers):
-        fast = tables(first, len(trows), (
-            (t, rvals[0]) for _, nxt, rew, _ in trows
-            for t, (_, rvals) in zip(nxt, rew)))
-        for st in steppers:
-            if st.width == 1:
-                base = where[id(st.mdp)]
-                st.tab = [fast[base + s * A + arows[0][3]]
-                          for s, (_, arows) in enumerate(st.rows)]
-    if general:
-        rtabs = iter(tables(0, len(rrows), chain.from_iterable(
-            rvals for _, rvals in rrows)))
-        ttabs = tables(first, len(trows), (
-            (t, next(rtabs)) for _, nxt, _, _ in trows for t in nxt))
-        ptabs = iter(tables(first + len(trows), len(prows), (
-            ttabs[where[id(st.mdp)] + s * A + row[3]] for st in general
-            for s, (_, arows) in enumerate(st.rows) for row in arows)))
-        for st in general:
-            st.tab = [next(ptabs) for _ in st.rows]
-
+    index = np.bincount(at, minlength=len(rows) * (n + 1)).reshape(
+        -1, n + 1)[:, :n].cumsum(axis=1) + (lens.cumsum() - lens)[:, None]
+    objects = np.fromiter(chain.from_iterable(
+        outcomes for _, outcomes, _ in rows), object, len(flat))
+    tabs = iter(objects[index].tolist())
+    for st in steppers:
+        st.tab = list(islice(tabs, len(st.rows)))
     return _binner(cuts)
 
 
@@ -434,11 +373,11 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
     """Run one expert for T steps from s0; returns (avg_reward, final_state, trajectory).
 
     avg_reward is the per-step mean, the R_k fed to the selector.  The
-    rollout bisects each draw in its compact row, one loop whether it
-    records or not.  With record=False the trajectory is None but the
-    consumed RNG stream is identical, so logs with and without
-    trajectories replay bit for bit.  A policy that validate_policy
-    rejects on mdp raises ValueError.
+    rollout reads T uniforms and bisects each in the current state's joint
+    row, one loop whether it records or not.  With record=False the
+    trajectory is None but the consumed RNG stream is identical, so logs
+    with and without trajectories replay bit for bit.  A policy that
+    validate_policy rejects on mdp raises ValueError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -446,7 +385,7 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
         raise ValueError(f"invalid state index {s0} for {mdp.n_states} states")
     stepper = _Stepper(mdp, policy)
     trail = [] if record else None
-    total, s = stepper.walk(s0, rng.random(T * stepper.width).tolist(), trail)
+    total, s = stepper.walk(s0, rng.random(T).tolist(), trail)
     if not record:
         return total / T, s, None
     states, actions, rewards = zip(*trail)
@@ -458,9 +397,9 @@ def run_expert(mdp: FiniteMdp, policy: ExpertPolicy, s0: int, T: int,
 def sample_initial_state(mdp: FiniteMdp, rng: np.random.Generator) -> int:
     """Draw s0 from mu0's compact row.  A law with exactly one positive
     entry is read off without consuming RNG."""
-    cum, states = _compact(mdp.initial_dist[None], [range(mdp.n_states)])[0]
-    return states[0] if len(cum) == 1 else \
-        states[bisect_right(cum, float(rng.random()))]
+    _, states, cum = _compact(mdp.initial_dist[None])
+    return int(states[0] if len(cum) == 1 else
+               states[bisect_right(cum.tolist(), rng.random())])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from mdpbandit.mdp import ExpertPolicy, FiniteMdp, run_expert
 
 from oracles import confidence_bound, horizon, reference_run_mab
 from test_mdp import BoundaryDraws, boundary_pool, det_policy, edge_rows, \
-    make_mdp, one_state_mdp, random_mdp, sparse_rows, swap_or_stay
+    joint_masses, make_mdp, one_state_mdp, random_mdp, sparse_rows, \
+    swap_or_stay
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +358,13 @@ def mab_cases(draw):
     pair): S 1-5, A 1-3; one-, two- and twelve-point rewards; a point mass
     or a spread initial law; deterministic and eps-mixed experts; constant
     and growing schedules; no event, a permutation event, or an event
-    installing another random MDP, which may change the draws a step takes
-    (reward support); UCB or a cycling selector.  The generators are two
-    Generators on one seed or, in half the cases, two BoundaryDraws over
-    the cut points of every MDP's and expert's rows and the double just
-    below each, where binning a draw to its code is most fragile; those
-    cases also rewrite rows of every kernel but the initial law with
-    edge_rows, whose cumulative masses repeat and tie."""
+    installing another random MDP, which may change the reward support;
+    UCB or a cycling selector.  The generators are two Generators on one
+    seed or, in half the cases, two BoundaryDraws over the cut points of
+    every MDP's initial law and of every (MDP, expert) joint row and the
+    double just below each, where binning a draw to its code is most
+    fragile; those cases also rewrite rows of every kernel but the
+    initial law with edge_rows, whose cumulative masses repeat and tie."""
     S, A = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     boundary = draw(st.booleans())
@@ -398,10 +399,11 @@ def mab_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     block = draw(st.sampled_from([1, 5, 64, 4096]))
     if boundary:
+        mdps = [mdp] + [m for _, m in events]
         pool = boundary_pool(
-            [k for m in [mdp] + [m for _, m in events]
-             for k in (m.transition, m.reward_probs, m.initial_dist)]
-            + [e.policy for e in experts])
+            [m.initial_dist for m in mdps]
+            + [np.array(joint_masses(m, e.policy)) for m in mdps
+               for e in experts])
         rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
     else:
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -429,9 +431,9 @@ def test_run_mab_replays_the_per_pull_loop(case):
 def test_a_run_over_the_table_cap_walks_by_bisect_to_the_same_bytes(
         tmp_path, monkeypatch):
     # the tables hold rows x codes entries; past the cap the run keeps the
-    # uniforms and bisects each in its compact row, on the same draws.  The
+    # uniforms and bisects each in its joint row, on the same draws.  The
     # event MDP's rewards are deterministic, so after it the deterministic
-    # expert takes the fast path
+    # expert's rows are the event MDP's transition rows
     g = np.random.default_rng(4)
     mdp = random_mdp(g)
     event = make_mdp(g.dirichlet(np.ones(4), size=(4, 3)), g.random((4, 3, 4)))
@@ -459,15 +461,16 @@ def test_a_run_over_the_table_cap_walks_by_bisect_to_the_same_bytes(
 
 
 def test_many_distinct_masses_take_the_run_past_the_table_cap():
-    # 40 states, Dirichlet rows and two-point rewards: about 6e3 rows and
-    # 1e4 distinct cumulative masses, far past the cap
+    # 40 states, Dirichlet rows, two-point rewards and three spread
+    # experts: 120 joint rows of 240 outcomes each, about 3e4 distinct
+    # cumulative masses, so about 3.5e6 table entries, past the cap
     g = np.random.default_rng(6)
     mdp = random_mdp(g, S=40, A=3)
     steppers = [mdp_module._Stepper(mdp, ExpertPolicy(
-        policy=g.dirichlet(np.ones(3), size=40)))]
+        policy=g.dirichlet(np.ones(3), size=40))) for _ in range(3)]
     # past the cap the binner hands the uniforms back as floats
     assert mdp_module._tabulate(steppers)(np.array([0.25, 0.5])) == [0.25, 0.5]
-    assert steppers[0].tab is None
+    assert all(st.tab is None for st in steppers)
     small = [mdp_module._Stepper(random_mdp(g), ExpertPolicy(
         policy=g.dirichlet(np.ones(3), size=4)))]
     assert mdp_module._tabulate(small)(np.array([0.0])).tolist() == [0]

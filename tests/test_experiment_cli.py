@@ -1368,9 +1368,9 @@ RUNLOG_DIGESTS = {
     "event/runlog_seed1.csv":
         "327482ee660b208f066438573b28d0eebad8c38ce58fedd9b747f0845bd89050",
     "general/runlog_seed0.csv":
-        "b01b7309be1378d94fe92f7995e80ef1a2c43c3bd5561b30c19b99f4df0fcf9c",
+        "afb33ba02955e3d7acc64f9d5de55f89fa4af928affea9f6a2ddff13c8ffb1d4",
     "general/runlog_seed1.csv":
-        "641006be89025529b86923d271c54531399361f9d1a318ca42da0e95a6089070",
+        "02cecdb38b6458ba969931ea4717de04e100aabac859dbf04bafce32e4ef0145",
     "sweep/t0_16/runlog_seed0.csv":
         "e71518b43694d66d53cf362c26d589e7f2273127653b50f30b553e32b916debe",
     "sweep/t0_16/runlog_seed1.csv":
@@ -1385,7 +1385,8 @@ RUNLOG_DIGESTS = {
 def general_path_files(directory):
     """An MDP on 4 states and 3 actions with two-point rewards, a spread
     initial law and two eps-mixed experts, from a fixed generator, saved
-    as files: every step draws its action, transition and reward."""
+    as files: every state's joint row spreads over actions, next states
+    and rewards."""
     g = np.random.default_rng(20261020)
     S, A = 4, 3
 

@@ -6,7 +6,9 @@ import pickle
 import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, replace
+from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdpbandit import mdp as mdp_module
+from mdpbandit.chains import induced_chain
 from mdpbandit.mdp import (
     ExpertPolicy,
     FiniteMdp,
@@ -221,18 +224,41 @@ def test_an_array_numpy_cannot_convert_names_its_field(field, value,
 
 
 def test_an_mdp_is_checked_only_when_it_is_built():
-    # the MDP check ran from four places; a pickled copy comes back
-    # without running it again
+    # the MDP check ran from four places; a pickled copy is built, and so
+    # checked, once more, and sampling it runs no check
     with mock.patch.object(mdp_module, "_mdp_errors",
                            wraps=mdp_module._mdp_errors) as check:
         mdp = two_state_cycle()
         moved = replace(mdp, initial_dist=[0.0, 1.0])
         assert check.call_count == 2
         back = pickle.loads(pickle.dumps(moved))
+        assert check.call_count == 3
         sample_initial_state(back, np.random.default_rng(0))
         run_expert(back, det_policy([0, 0], 1), 0, 3,
                    np.random.default_rng(0))
-    assert check.call_count == 2
+    assert check.call_count == 3
+
+
+def test_a_pickled_mdp_is_a_checked_read_only_copy():
+    # an unpickled MDP had writeable arrays: after initial_dist[:] = 0 and
+    # initial_dist[1] = 5.0 it was sampled without a word, as state 1
+    mdp = random_mdp(np.random.default_rng(2))
+    back = pickle.loads(pickle.dumps(mdp))
+    for name in ("transition", "reward_values", "reward_probs",
+                 "initial_dist"):
+        array = getattr(back, name)
+        assert not array.flags.writeable, name
+        assert array.tobytes() == getattr(mdp, name).tobytes(), name
+    assert (back.n_states, back.n_actions) == (mdp.n_states, mdp.n_actions)
+    with pytest.raises(ValueError, match="read-only"):
+        back.initial_dist[:] = 0
+    # a copy made from a pickle whose arrays were edited is checked
+    edited = pickle.dumps(replace(mdp, initial_dist=np.eye(4)[1]))
+    one, five = np.float64(1.0).tobytes(), np.float64(5.0).tobytes()
+    assert edited.count(one) == 1
+    with pytest.raises(ValueError, match="invalid MDP: initial distribution "
+                       "sum 5.0"):
+        pickle.loads(edited.replace(one, five))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +302,8 @@ def swap_or_stay():
 
 
 def test_replaced_mdp_samples_its_own_dynamics():
-    # the sampler caches its tables on the instance; a copy made with
-    # dataclasses.replace must build its own, not inherit the old ones
+    # a copy made with dataclasses.replace samples its own arrays, not
+    # rows built for the old ones
     mdp, swap, _ = swap_or_stay()
     rng = np.random.default_rng(0)
     assert run_expert(mdp, swap, 0, 2, rng, record=False)[0] == 0.5
@@ -399,40 +425,45 @@ def full_cdf(probs):
     return cdf
 
 
+def joint_masses(mdp, pi):
+    """The (S, A * S * V) masses of every state's joint outcomes (a, s', v)
+    in that order, pi(a|s) P(s'|s,a) q(v|s,a,s') as Python floats, zeros
+    included; a policy or reward row with exactly one positive entry reads
+    1.0 there."""
+    def point(rows):
+        return [[float(p > 0) for p in row] if sum(p > 0 for p in row) == 1
+                else row for row in rows]
+
+    S, A, V = mdp.n_states, mdp.n_actions, mdp.reward_values.shape[-1]
+    P = mdp.transition.tolist()
+    pol = point(pi.tolist())
+    q = point(mdp.reward_probs.reshape(-1, V).tolist())
+    return [[pol[s][a] * P[s][a][t] * q[(s * A + a) * S + t][v]
+             for a in range(A) for t in range(S) for v in range(V)]
+            for s in range(S)]
+
+
 def reference_run(mdp, policy, s0, T, rng, record):
-    """run_expert over full rows: one bisect over every entry of a row, zero
-    mass included.  Returns (avg, final state, (states, actions, rewards)
-    or None)."""
-    cdf = full_cdf(mdp.transition).tolist()
-    rvals = mdp.reward_values.tolist()
-    rcdf = full_cdf(mdp.reward_probs).tolist()
-    pi = policy.policy
-    stoch_pol = not ((pi > 0).sum(axis=1) == 1).all()
-    stoch_rew = not ((mdp.reward_probs > 0).sum(axis=-1) == 1).all()
-    act = pi.argmax(axis=1).tolist()
-    # the one positive entry of each reward row, read when no row is drawn
-    rpos = mdp.reward_probs.argmax(axis=-1).tolist()
-    pol_cdf = full_cdf(pi).tolist()
+    """run_expert over full joint rows: one uniform a step, bisected over
+    every outcome (a, s', v) of the state's row, zero mass included.
+    Returns (avg, final state, (states, actions, rewards) or None)."""
+    S, V = mdp.n_states, mdp.reward_values.shape[-1]
+    cdf = []
+    for row in joint_masses(mdp, policy.policy):
+        cum = list(accumulate(row))
+        last = max(j for j, m in enumerate(row) if m > 0)
+        cdf.append(cum[:last] + [1.0] * (len(row) - last))
+    rvals = mdp.reward_values.reshape(S, -1).tolist()
     total, s = 0.0, s0
     states, actions, rewards = [s0], [], []
-    if not (record or stoch_pol or stoch_rew):
-        for x in rng.random(T).tolist():
-            a = act[s]
-            j = bisect_right(cdf[s][a], x)
-            total += rvals[s][a][j][rpos[s][a][j]]
-            s = j
-    else:
-        for row in rng.random((T, 1 + stoch_pol + stoch_rew)).tolist():
-            a = bisect_right(pol_cdf[s], row[0]) if stoch_pol else act[s]
-            j = bisect_right(cdf[s][a], row[stoch_pol])
-            v = bisect_right(rcdf[s][a][j], row[-1]) if stoch_rew \
-                else rpos[s][a][j]
-            r = rvals[s][a][j][v]
-            total += r
-            states.append(j)
-            actions.append(a)
-            rewards.append(r)
-            s = j
+    for u in rng.random(T).tolist():
+        j = bisect_right(cdf[s], u)
+        r = rvals[s][j]
+        total += r
+        s = j // V % S
+        states.append(s)
+        actions.append(j // (S * V))
+        rewards.append(r)
     return total / T, s, (states, actions, rewards) if record else None
 
 
@@ -455,7 +486,8 @@ def sparse_rows(g, shape, tenths=False):
 
 def edge_rows(g, w):
     """Replace about half the rows of w, in place, with rows whose
-    cumulative masses are hard to get right: a single outcome; a lopsided
+    cumulative masses are hard to get right: a single outcome, of mass 1.0
+    or 1 - 1e-10, which the sampler reads as exactly 1.0; a lopsided
     row, one entry 1 - k ulp (k 1-4) and the rest tiny, so that tiny
     entries after it may add nothing to the cumulative mass, which then
     repeats; dyadic masses whose two widest entries have exactly equal
@@ -469,7 +501,7 @@ def edge_rows(g, w):
             continue
         row[:] = 0.0
         if kind == 0 or n == 1:
-            row[at[0]] = 1.0
+            row[at[0]] = 1.0 - 1e-10 * g.integers(2)
         elif kind == 1:
             k, m = g.integers(1, 5), g.integers(1, n)
             row[at[0]] = 1.0 - k * 2.0**-53
@@ -528,10 +560,11 @@ def sampler_cases(draw):
     two or twelve support points (twelve allows rows of ten 0.1s);
     deterministic and stochastic experts; in half the cases, edge_rows in
     every kernel the sampler reads, the initial law included; 2-6 chained
-    pulls of T 1-70, each recording or not.  The rng pair is two Generators on one seed, or two
-    BoundaryDraws over 0, the largest double below 1, and every raw and
-    pinned cumulative value of the MDP's and the experts' rows and the
-    double just below each."""
+    pulls of T 1-70, each recording or not.  The rng pair is two
+    Generators on one seed, or two BoundaryDraws over 0, the largest
+    double below 1, and every raw and pinned cumulative value of the
+    initial law's and every expert's joint rows and the double just below
+    each."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     V = draw(st.sampled_from([1, 2, 12]))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -552,8 +585,8 @@ def sampler_cases(draw):
                           min_size=2, max_size=6))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        pool = boundary_pool([mdp.transition, mdp.reward_probs,
-                              mdp.initial_dist] + [e.policy for e in experts])
+        pool = boundary_pool([mdp.initial_dist] + [
+            np.array(joint_masses(mdp, e.policy)) for e in experts])
         rngs = BoundaryDraws(pool, seed), BoundaryDraws(pool, seed)
     else:
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -579,6 +612,89 @@ def test_compact_rows_sample_what_full_rows_sample(case):
         if record:
             assert (traj.states.tolist(), traj.actions.tolist(),
                     traj.rewards.tolist()) == ref
+
+
+U = Fraction(1, 2**53)   # unit roundoff of a double
+
+
+def exact_point(row):
+    """A policy or reward row as Fractions, read as exactly 1 at its one
+    positive entry when it has exactly one."""
+    if sum(p > 0 for p in row) == 1:
+        return [Fraction(int(p > 0)) for p in row]
+    return [Fraction(p) for p in row]
+
+
+def test_joint_masses_are_the_exact_products_within_two_roundings():
+    # each mass is pi(a|s) P(s'|s,a) q(v|s,a,s') rounded twice, once per
+    # product.  A rounding to nearest is off by at most U relative, plus
+    # half the smallest subnormal, 2**-1075, if the product underflows, so
+    # |mass - exact| <= (2 U + U**2) exact + 2**-1073.  Each joint row's
+    # cumulative masses are the left-to-right float sums of its positive
+    # masses, the last set to 1.0, over outcomes (next state, reward) and
+    # actions decoded from their place (a, s', v)
+    g = np.random.default_rng(17)
+    for case in range(24):
+        S, A = int(g.integers(1, 6)), int(g.integers(1, 4))
+        V = [1, 2, 12][case % 3]
+        mdp = FiniteMdp(
+            n_states=S, n_actions=A,
+            transition=edge_rows(g, sparse_rows(g, (S, A, S))),
+            reward_values=g.random((S, A, S, V)),
+            reward_probs=edge_rows(g, sparse_rows(g, (S, A, S, V),
+                                                  tenths=V >= 10)),
+            initial_dist=np.full(S, 1.0 / S))
+        pi = edge_rows(g, sparse_rows(g, (S, A))) if case % 2 \
+            else np.eye(A)[g.integers(0, A, size=S)]
+        mass = mdp_module._joint_masses(mdp, pi).tolist()
+        P = mdp.transition.tolist()
+        q = mdp.reward_probs.tolist()
+        rv = mdp.reward_values.tolist()
+        stepper = mdp_module._Stepper(mdp, ExpertPolicy(policy=pi))
+        for s, row in enumerate(mass):
+            pol = exact_point(pi[s].tolist())
+            assert len(row) == A * S * V
+            for a, t, v in np.ndindex(A, S, V):
+                exact = pol[a] * Fraction(P[s][a][t]) \
+                    * exact_point(q[s][a][t])[v]
+                assert abs(Fraction(row[(a * S + t) * V + v]) - exact) \
+                    <= (2 * U + U**2) * exact + Fraction(2)**-1073
+            kept = [j for j, m in enumerate(row) if m > 0]
+            cum = list(accumulate(row[j] for j in kept))
+            cum[-1] = 1.0
+            assert stepper.rows[s] == (
+                cum, [(j // V % S, rv[s][j // (S * V)][j // V % S][j % V])
+                      for j in kept], [j // (S * V) for j in kept])
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 2, 12]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_a_joint_row_s_next_state_marginal_is_the_induced_kernel(
+        S, A, V, seed, deterministic):
+    # sum over a and v of a state's joint masses is the row of the kernel
+    # chains.induced_chain certifies, sum_a pi(a|s) P(s'|s,a).  Exactly,
+    # the two differ by at most sum_a P(s'|s,a) (|pi' - pi| + |Q - 1|) <=
+    # A (dp + dq), where pi' reads a point-mass policy entry as 1 (dp is
+    # the largest |pi' - pi|) and Q = sum_v q' is a reward row's sum, a
+    # point-mass row read as 1 (dq is the largest |Q - 1|).  Rounding adds
+    # 2 U + U**2 per mass, U for fsum and at most A U for the kernel's
+    # einsum, on sums near 1: together at most 2 (A + 4) U
+    g = np.random.default_rng(seed)
+    mdp = random_mdp(g, S, A, V)
+    mdp = replace(mdp, reward_probs=edge_rows(g, mdp.reward_probs.copy()))
+    pi = np.eye(A)[g.integers(0, A, size=S)] if deterministic \
+        else edge_rows(g, sparse_rows(g, (S, A)))
+    kernel = induced_chain(mdp, ExpertPolicy(policy=pi)).kernel
+    mass = mdp_module._joint_masses(mdp, pi).reshape(S, A, S, V)
+    dp = max(abs(Fraction(p) - e) for row in pi.tolist()
+             for p, e in zip(row, exact_point(row)))
+    dq = max(abs(sum(exact_point(row)) - 1)
+             for row in mdp.reward_probs.reshape(-1, V).tolist())
+    tol = A * (dp + dq) + 2 * (A + 4) * U
+    for s, t in np.ndindex(S, S):
+        marginal = math.fsum(mass[s, :, t].ravel().tolist())
+        assert abs(Fraction(marginal) - Fraction(kernel[s, t])) <= tol
 
 
 EDGE = 2.0**-mdp_module._BUCKET_BITS   # width of a binner bucket
@@ -612,11 +728,10 @@ def test_a_binned_code_is_the_bisect_of_the_cuts(case):
 
 
 def test_a_code_table_gives_the_outcome_a_bisect_gives():
-    # read at the codes of draws at and just below every cut, a state's
-    # table gives the next state and reward the bisects of its compact
-    # rows give: (next state, reward) on the fast path, and the drawn
-    # action's table of (next state, reward table) on the general one,
-    # also over edge_rows, whose cumulative masses repeat and tie
+    # read at the codes of draws at and just below every cut, each state's
+    # table gives the (next state, reward) the bisect of its joint row
+    # gives, for steppers on three MDPs tabulated together, also over
+    # edge_rows, whose cumulative masses repeat and tie
     g = np.random.default_rng(3)
     cases = [
         (make_mdp(g.dirichlet(np.ones(4), size=(4, 3)), g.random((4, 3, 4))),
@@ -628,29 +743,20 @@ def test_a_code_table_gives_the_outcome_a_bisect_gives():
                    reward_probs=edge_rows(g, sparse_rows(g, (5, 3, 5, 4))),
                    initial_dist=np.full(5, 0.2)),
          ExpertPolicy(policy=edge_rows(g, sparse_rows(g, (5, 3)))))]
-    for mdp, policy in cases:
-        stepper = mdp_module._Stepper(mdp, policy)
-        codes = mdp_module._tabulate([stepper])
-        pool = boundary_pool([mdp.transition, mdp.reward_probs,
-                              policy.policy])
-        draws = g.choice(pool, size=(500, 3))
-        for (xa, xt, xr), (ca, ct, cr) in zip(
-                draws.tolist(), np.reshape(codes(draws.ravel()), (-1, 3))):
-            for s, (acum, arows) in enumerate(stepper.rows):
-                cum, nxt, rew, _ = arows[bisect_right(acum, xa)]
-                k = bisect_right(cum, xt)
-                rcum, rvals = rew[k]
-                if stepper.width == 1:
-                    assert stepper.tab[s][ct] == (nxt[k], rvals[0])
-                else:
-                    t, rtab = stepper.tab[s][ca][ct]
-                    assert (t, rtab[cr]) == (nxt[k],
-                                             rvals[bisect_right(rcum, xr)])
+    steppers = [mdp_module._Stepper(mdp, policy) for mdp, policy in cases]
+    codes = mdp_module._tabulate(steppers)
+    pool = boundary_pool([np.array(joint_masses(mdp, policy.policy))
+                          for mdp, policy in cases])
+    draws = g.choice(pool, size=1500)
+    for u, c in zip(draws.tolist(), codes(draws)):
+        for stepper in steppers:
+            for s, (cum, outcomes, _) in enumerate(stepper.rows):
+                assert stepper.tab[s][c] == outcomes[bisect_right(cum, u)]
 
 
 def test_a_pickled_warm_cache_samples_the_same_stream():
-    # a pool worker receives the MDP together with its experts and the
-    # sampler rows built in the parent
+    # a pool worker receives the MDP together with its experts, after the
+    # parent has sampled them
     g = np.random.default_rng(21)
     mdp = random_mdp(g)
     experts = [ExpertPolicy(policy=g.dirichlet(np.ones(3), size=4)),
@@ -688,10 +794,6 @@ def test_an_mdp_cannot_change_under_its_cached_rows():
     moved = replace(mdp, initial_dist=given, transition=P)
     assert not moved.initial_dist.flags.writeable
     assert sample_initial_state(moved, np.random.default_rng(0)) == 1
-    assert moved._rows is not mdp._rows
-    # each (s, a) row keeps its next states second, after its cumulative mass
-    assert [row[:2] for row in moved._rows[0]] == [([1.0], [0])]
-    assert [row[1] for row in mdp._rows[0]] == [[0, 1, 2]]
 
 
 def test_a_policy_edited_in_place_samples_its_new_actions():
@@ -803,39 +905,70 @@ def test_an_initial_law_is_a_point_mass_only_with_one_positive_entry(
     assert s0 == 1 or draws
 
 
-@pytest.mark.parametrize("row, width", [([1e-10, 1.0], 2),
-                                        ([0.0, 1.0 - 1e-10], 1)])
-def test_a_policy_row_is_a_point_mass_only_with_one_positive_entry(
-        row, width):
-    # [1e-10, 1.0] passes validate_policy and was sampled as always taking
-    # action 1, one uniform a step, dropping the mass of action 0
-    mdp = make_mdp(np.ones((1, 2, 1)), np.zeros((1, 2, 1)))
-    policy = ExpertPolicy(policy=np.array([row]))
-    validate_policy(policy, mdp)
+class ZeroDraws:
+    """Generator stand-in whose every draw is 0.0, which picks the first
+    outcome of a row."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def reads_one_uniform_a_step(mdp, policy):
+    """Whether every rollout of mdp and policy, recording or not, reads
+    exactly T uniforms; T = 5."""
     for record in (False, True):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         run_expert(mdp, policy, 0, 5, rng, record)
-        ref.random(5 * width)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        ref.random(5)
+        if rng.bit_generator.state != ref.bit_generator.state:
+            return False
+    return True
 
 
-@pytest.mark.parametrize("probs, width, reward", [([1.0, 0.0], 1, 0.3),
-                                                  ([0.0, 1.0], 1, 0.9),
-                                                  ([0.5, 0.5], 2, None)])
+@pytest.mark.parametrize("row, actions", [([1e-10, 1.0], 2),
+                                          ([0.0, 1.0 - 1e-10], 1)])
+def test_a_policy_row_is_a_point_mass_only_with_one_positive_entry(
+        row, actions):
+    # [1e-10, 1.0] passes validate_policy and was sampled as always taking
+    # action 1, dropping the mass of action 0: its joint row keeps action
+    # 0, with mass 1e-10 over the two next states, while [0.0, 1 - 1e-10]
+    # takes action 1 with mass exactly 1, so its two next states keep
+    # their masses of 0.5 each
+    mdp = make_mdp(np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)))
+    policy = ExpertPolicy(policy=np.array([row, row]))
+    validate_policy(policy, mdp)
+    want = ([5e-11, 1e-10, 0.5 + 1e-10, 1.0], [0, 0, 1, 1]) if actions == 2 \
+        else ([0.5, 1.0], [1, 1])
+    for cum, _, taken in mdp_module._Stepper(mdp, policy).rows:
+        assert len(set(taken)) == actions
+        assert (cum, taken) == want
+    traj = run_expert(mdp, policy, 0, 3, ZeroDraws())[2]
+    assert traj.actions.tolist() == [2 - actions] * 3
+    assert reads_one_uniform_a_step(mdp, policy)
+
+
+@pytest.mark.parametrize("probs, outcomes, reward", [([1.0, 0.0], 1, 0.3),
+                                                     ([0.0, 1.0], 1, 0.9),
+                                                     ([0.5, 0.5], 2, None)])
 def test_a_reward_row_is_a_point_mass_only_with_one_positive_entry(
-        probs, width, reward):
-    # a two-point reward row with one positive entry took a uniform a step
-    # that could not change the reward, and kept the run off the fast path
+        probs, outcomes, reward):
+    # a two-point reward row with one positive entry is one outcome of
+    # the joint row, which carries that entry's value; a spread row is one
+    # outcome per support point
     mdp = FiniteMdp(n_states=1, n_actions=1, transition=np.ones((1, 1, 1)),
                     reward_values=np.array([[[[0.3, 0.9]]]]),
                     reward_probs=np.array([[[probs]]]),
                     initial_dist=np.ones(1))
-    for record in (False, True):
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        avg, _, _ = run_expert(mdp, det_policy([0], 1), 0, 5, rng, record)
-        ref.random(5 * width)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert reward is None or avg == pytest.approx(reward, abs=1e-12)
+    (cum, got, _), = mdp_module._Stepper(mdp, det_policy([0], 1)).rows
+    assert len(got) == outcomes
+    if reward is None:
+        assert (cum, got) == ([0.5, 1.0], [(0, 0.3), (0, 0.9)])
+    else:
+        assert (cum, got) == ([1.0], [(0, reward)])
+        avg = run_expert(mdp, det_policy([0], 1), 0, 5,
+                         np.random.default_rng(3))[0]
+        assert avg == pytest.approx(reward, abs=1e-12)
+    assert reads_one_uniform_a_step(mdp, det_policy([0], 1))
 
 
 @pytest.mark.parametrize("mu0", [[0.0, 0.0, 0.0], [0.2, 0.2, 0.2],
